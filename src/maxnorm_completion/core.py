@@ -169,7 +169,7 @@ def pi_weighted_sq_norm(M, distribution) -> float:
         raise ValidationError(
             f"distribution shape {probs.shape} does not match matrix shape {A.shape}"
         )
-    return float((probs * A * A).sum())
+    return float(np.einsum("ij,ij,ij->", probs, A, A))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import ConstraintSet, ValidationError, check_matrix, _frozen, format_dense, parse_dense
 from .sampling import ObservationSet
-from .solver import DivergenceError, SolverConfig, fit
+from .solver import DivergenceError, SolverConfig, _dedupe_observations, fit
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,11 @@ class PartialMatrix:
     @classmethod
     def from_observations(cls, obs: ObservationSet) -> "PartialMatrix":
         """Collapse an observation list onto the grid, averaging duplicates."""
-        sums = np.zeros((obs.d1, obs.d2))
-        counts = np.zeros((obs.d1, obs.d2))
-        np.add.at(sums, (obs.indices[:, 0], obs.indices[:, 1]), obs.values)
-        np.add.at(counts, (obs.indices[:, 0], obs.indices[:, 1]), 1.0)
-        mask = counts > 0
-        vals = np.divide(sums, counts, out=np.zeros_like(sums), where=mask)
+        cells = _dedupe_observations(obs)
+        mask = np.zeros((obs.d1, obs.d2), dtype=bool)
+        mask[cells.rows, cells.cols] = True
+        vals = np.zeros((obs.d1, obs.d2))
+        vals[cells.rows, cells.cols] = cells.means
         return cls(d1=obs.d1, d2=obs.d2, mask=mask, values=vals)
 
     def to_observations(self) -> ObservationSet:

@@ -13,15 +13,27 @@ factor pair (U, V) directly.  Two algorithms:
                     locally;  duplicate cells are visited once per epoch
                     with their values averaged.
 
+Both first collapse the observations onto their m unique cells (draw count,
+mean value and within-cell sum of squares), which keeps the loss exact
+while every pass touches each observed cell once.  No d1 x d2 array is
+built while solving: a PGD iteration gathers the prediction at the observed
+cells, forms the gradient products G @ V and G.T @ U as per-column segment
+sums, and takes the elementwise max of U @ V.T in row blocks.  Apart from
+that max, which still costs d1 d2 k flops, an iteration's time and memory
+are O((m + d1 + d2) k); the max holds one block of LINF_BLOCK_CELLS cells.
+SolveResult.completed builds the dense product only when it is read.
+
 Both are deterministic given (observations, constraints, config).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _rng
-from .core import ConstraintSet, Factorization, ValidationError, check_matrix, _frozen
+from .core import ConstraintSet, Factorization, ValidationError, check_matrix
 from .sampling import ObservationSet
 
 ALGORITHMS = ("pgd", "stepwise")
@@ -34,6 +46,9 @@ MAX_HALVINGS = 20
 
 # Slack for the constraint checks reported on returned iterates.
 FEASIBILITY_SLACK = 1e-9
+
+# Cells per row block of U @ V.T when taking its elementwise max.
+LINF_BLOCK_CELLS = 1 << 20
 
 
 class DivergenceError(RuntimeError):
@@ -80,10 +95,13 @@ class SolveResult:
     iterations_run: int
     feasible_rows: bool
     feasible_linf: bool
-    completed: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "completed", _frozen(self.completed))
+    @cached_property
+    def completed(self) -> np.ndarray:
+        """The completed matrix U @ V.T, built on first access and read-only."""
+        M = self.factorization.product()
+        M.flags.writeable = False
+        return M
 
 
 def default_factor_width(d1: int, d2: int, rank_hint=None) -> int:
@@ -98,34 +116,69 @@ def empirical_loss_and_grad(F: Factorization, obs: ObservationSet):
 
     loss = (1/n) sum_t (y_t - (U V^T)_{i_t j_t})^2.  The gradient is a dense
     d1 x d2 array, nonzero only at observed cells; repeated draws of a cell
-    accumulate with multiplicity.
+    accumulate with multiplicity.  This is the dense reference: the solvers
+    compute the same loss and gradient products cell by cell and never build
+    this array.
     """
     if (F.d1, F.d2) != (obs.d1, obs.d2):
         raise ValidationError(
             f"factorization shape ({F.d1}, {F.d2}) does not match "
             f"observations ({obs.d1}, {obs.d2})"
         )
-    loss, grad = _loss_and_grad(F.U, F.V, obs)
-    return loss, grad
-
-
-def _predicted(U, V, idx):
-    return np.einsum("ij,ij->i", U[idx[:, 0]], V[idx[:, 1]])
-
-
-def _loss(U, V, obs):
-    r = _predicted(U, V, obs.indices) - obs.values
-    return float(r @ r) / obs.n
-
-
-def _loss_and_grad(U, V, obs):
-    n = obs.n
-    resid = _predicted(U, V, obs.indices) - obs.values
-    loss = float(resid @ resid) / n
-    flat = obs.indices[:, 0] * obs.d2 + obs.indices[:, 1]
-    grad = np.bincount(flat, weights=(2.0 / n) * resid,
+    rows, cols = obs.indices[:, 0], obs.indices[:, 1]
+    resid = np.einsum("ij,ij->i", F.U[rows], F.V[cols]) - obs.values
+    loss = float(resid @ resid) / obs.n
+    grad = np.bincount(rows * obs.d2 + cols, weights=(2.0 / obs.n) * resid,
                        minlength=obs.d1 * obs.d2).reshape(obs.d1, obs.d2)
     return loss, grad
+
+
+class _Cells(NamedTuple):
+    """Observations collapsed onto their unique cells, in row-major order."""
+
+    rows: np.ndarray  # int64
+    cols: np.ndarray  # int64
+    counts: np.ndarray  # float64: draws of the cell
+    means: np.ndarray  # float64: mean observed value of the cell
+    ss_within: float  # sum over all draws of (y_t - mean of its cell)^2
+    n: int  # total draws
+
+
+def _dedupe_observations(obs: ObservationSet) -> _Cells:
+    """Unique observed cells with their draw counts and mean values.
+
+    With r = prediction - mean at each cell, the empirical loss is exactly
+    (sum counts * r^2 + ss_within) / n.
+    """
+    flat = obs.indices[:, 0] * obs.d2 + obs.indices[:, 1]
+    uniq, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
+    means = np.bincount(inverse, weights=obs.values) / counts
+    dev = obs.values - means[inverse]
+    rows, cols = np.divmod(uniq, obs.d2)
+    return _Cells(rows=rows, cols=cols, counts=counts.astype(np.float64), means=means,
+                  ss_within=float(dev @ dev), n=obs.n)
+
+
+def _cell_loss(cells: _Cells, U, V):
+    """Empirical loss and the gradient weights (2/n) * count * r at each cell.
+
+    The prediction is gathered one factor column at a time.
+    """
+    r = -cells.means
+    for u, v in zip(U.T.copy(), V.T.copy()):
+        r += u[cells.rows] * v[cells.cols]
+    cr = cells.counts * r
+    loss = (float(cr @ r) + cells.ss_within) / cells.n
+    return loss, (2.0 / cells.n) * cr
+
+
+def _cell_grad_products(cells: _Cells, w, U, V):
+    """G @ V and G.T @ U for the gradient G equal to w at the cells, 0 elsewhere."""
+    GV = np.column_stack([np.bincount(cells.rows, weights=w * v[cells.cols],
+                                      minlength=U.shape[0]) for v in V.T.copy()])
+    GtU = np.column_stack([np.bincount(cells.cols, weights=w * u[cells.rows],
+                                       minlength=V.shape[0]) for u in U.T.copy()])
+    return GV, GtU
 
 
 def project_factor_rows(U, radius: float) -> np.ndarray:
@@ -162,8 +215,21 @@ def linf_rescale(F: Factorization, alpha: float) -> Factorization:
     return Factorization(U=U, V=V)
 
 
+def _max_abs_product(U, V) -> float:
+    """max |U @ V.T| over row blocks of about LINF_BLOCK_CELLS cells.
+
+    NaN propagates as it does through np.abs(U @ V.T).max().
+    """
+    step = max(1, LINF_BLOCK_CELLS // V.shape[0])
+    m = 0.0
+    for i in range(0, U.shape[0], step):
+        blk = U[i:i + step] @ V.T
+        m = np.max((m, blk.max(), -blk.min()))
+    return float(m)
+
+
 def _linf_rescale_arrays(U, V, alpha):
-    m = np.abs(U @ V.T).max()
+    m = _max_abs_product(U, V)
     if m <= alpha:
         return U, V
     s = np.sqrt(alpha) / np.sqrt(m)
@@ -198,15 +264,14 @@ def _check_width(cfg, obs):
 
 def _finish(U, V, trace, iterations, constraints) -> SolveResult:
     F = Factorization(U=U, V=V)
-    completed = F.product()
     max_sq = max((F.U * F.U).sum(axis=1).max(), (F.V * F.V).sum(axis=1).max())
+    linf = _max_abs_product(F.U, F.V)
     return SolveResult(
         factorization=F,
         objective_trace=tuple(trace),
         iterations_run=iterations,
         feasible_rows=bool(max_sq <= constraints.radius + FEASIBILITY_SLACK),
-        feasible_linf=bool(np.abs(completed).max() <= constraints.alpha + FEASIBILITY_SLACK),
-        completed=completed,
+        feasible_linf=bool(linf <= constraints.alpha + FEASIBILITY_SLACK),
     )
 
 
@@ -217,56 +282,47 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
     pre-step factors, global elementwise rescale, then row projection of both
     factors.  With backtracking enabled the step is halved (at most
     MAX_HALVINGS times) whenever the objective would increase; if no step
-    helps, the iterate is kept and the solve stops.
+    helps, the iterate is kept and the solve stops.  The accepted trial's
+    cell residuals give the next gradient.
     """
     if cfg.algorithm != "pgd":
         raise ValidationError(f"fit_pgd requires algorithm='pgd', got {cfg.algorithm!r}")
     _check_width(cfg, obs)
     alpha, radius = constraints.alpha, constraints.radius
+    cells = _dedupe_observations(obs)
     F0 = init_factors(obs.d1, obs.d2, cfg.k, constraints, cfg.seed)
-    U, V = F0.U.copy(), F0.V.copy()
-    loss, grad = _loss_and_grad(U, V, obs)
+    U, V = F0.U, F0.V
+    loss, w = _cell_loss(cells, U, V)
     trace = [loss]
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iters + 1):
+            GV, GtU = _cell_grad_products(cells, w, U, V)
             tau = cfg.tau
             accepted = None
             for _ in range(MAX_HALVINGS + 1):
-                Un = U - tau * (grad @ V)
-                Vn = V - tau * (grad.T @ U)
+                Un = U - tau * GV
+                Vn = V - tau * GtU
                 Un, Vn = _linf_rescale_arrays(Un, Vn, alpha)
                 Un = _project_rows_inplace(Un, radius)
                 Vn = _project_rows_inplace(Vn, radius)
-                new_loss = _loss(Un, Vn, obs)
+                new_loss, new_w = _cell_loss(cells, Un, Vn)
                 if np.isfinite(new_loss) and (not cfg.backtrack
                                               or new_loss <= loss * (1 + 1e-12)):
-                    accepted = (Un, Vn, new_loss)
+                    accepted = (Un, Vn, new_loss, new_w)
                     break
                 if not cfg.backtrack:
                     raise DivergenceError(iteration=it, algorithm="pgd")
                 tau *= 0.5
             if accepted is None:
                 break  # no admissible step; current iterate is the answer
-            U, V, new_loss = accepted
+            U, V, new_loss, w = accepted
             prev, loss = loss, new_loss
             trace.append(loss)
             iterations = it
-            grad = None
             if abs(loss - prev) <= cfg.tol * max(prev, 1e-12):
                 break
-            _, grad = _loss_and_grad(U, V, obs)
     return _finish(U, V, trace, iterations, constraints)
-
-
-def _dedupe_observations(obs: ObservationSet):
-    """Unique observed cells with duplicate values averaged."""
-    flat = obs.indices[:, 0] * obs.d2 + obs.indices[:, 1]
-    uniq, inverse = np.unique(flat, return_inverse=True)
-    sums = np.bincount(inverse, weights=obs.values)
-    counts = np.bincount(inverse)
-    rows, cols = np.divmod(uniq, obs.d2)
-    return rows.astype(np.int64), cols.astype(np.int64), sums / counts
 
 
 def fit_stepwise(obs: ObservationSet, constraints: ConstraintSet,
@@ -289,19 +345,18 @@ def fit_stepwise(obs: ObservationSet, constraints: ConstraintSet,
             f"fit_stepwise requires algorithm='stepwise', got {cfg.algorithm!r}"
         )
     _check_width(cfg, obs)
-    rows, cols, targets = _dedupe_observations(obs)
+    cells = _dedupe_observations(obs)
     F0 = init_factors(obs.d1, obs.d2, cfg.k, constraints, cfg.seed)
     U, V = F0.U.copy(), F0.V.copy()
-    trace = [_loss(U, V, obs)]
+    trace = [_cell_loss(cells, U, V)[0]]
     shuffle_rng = _rng.stream_rng(cfg.seed, _rng.SHUFFLE)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _stepwise_epochs(obs, cfg, constraints, U, V, rows, cols, targets,
-                                trace, shuffle_rng, audit_hook)
+        return _stepwise_epochs(cells, cfg, constraints, U, V, trace, shuffle_rng, audit_hook)
 
 
-def _stepwise_epochs(obs, cfg, constraints, U, V, rows, cols, targets, trace,
-                     shuffle_rng, audit_hook):
+def _stepwise_epochs(cells, cfg, constraints, U, V, trace, shuffle_rng, audit_hook):
     alpha, radius = constraints.alpha, constraints.radius
+    rows, cols, targets = cells.rows, cells.cols, cells.means
     m = rows.shape[0]
     loss = trace[-1]
     epochs_run = 0
@@ -329,7 +384,7 @@ def _stepwise_epochs(obs, cfg, constraints, U, V, rows, cols, targets, trace,
             V[j] = vj_new
             if audit_hook is not None:
                 audit_hook(int(i), int(j), float(ui_new @ ui_new), float(vj_new @ vj_new))
-        new_loss = _loss(U, V, obs)
+        new_loss = _cell_loss(cells, U, V)[0]
         if not np.isfinite(new_loss):
             raise DivergenceError(iteration=epoch, algorithm="stepwise")
         prev, loss = loss, new_loss
@@ -340,7 +395,7 @@ def _stepwise_epochs(obs, cfg, constraints, U, V, rows, cols, targets, trace,
     U, V = _linf_rescale_arrays(U, V, alpha)
     U = _project_rows_inplace(U.copy(), radius)
     V = _project_rows_inplace(V.copy(), radius)
-    final_loss = _loss(U, V, obs)
+    final_loss = _cell_loss(cells, U, V)[0]
     if not np.isfinite(final_loss):
         raise DivergenceError(iteration=epochs_run, algorithm="stepwise")
     if final_loss != trace[-1]:

@@ -1,0 +1,150 @@
+"""The cell-level PGD iteration against the dense reference, and its memory bound."""
+
+import tracemalloc
+from collections import defaultdict
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from maxnorm_completion import (
+    ConstraintSet,
+    Factorization,
+    ObservationSet,
+    SolverConfig,
+    empirical_loss_and_grad,
+    fit_pgd,
+    fit_stepwise,
+    init_factors,
+    solver,
+)
+
+
+def _duplicate_heavy_instance(seed, d1, d2, n, pool):
+    """n draws from at most `pool` distinct cells, so most cells repeat."""
+    rng = np.random.default_rng(seed)
+    cells = np.column_stack([rng.integers(0, d1, pool), rng.integers(0, d2, pool)])
+    idx = cells[rng.integers(0, pool, n)]
+    return rng, ObservationSet(d1=d1, d2=d2, indices=idx, values=rng.normal(size=n))
+
+
+def _assert_close(actual, expected, rel=1e-12):
+    """Equal to `rel` relative to the largest magnitude in `expected`."""
+    expected = np.asarray(expected)
+    np.testing.assert_allclose(actual, expected, rtol=rel,
+                               atol=rel * float(np.abs(expected).max()))
+
+
+shapes = dict(seed=st.integers(0, 2**32 - 1), d1=st.integers(1, 8), d2=st.integers(1, 8),
+              n=st.integers(1, 80), pool=st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 4), **shapes)
+def test_cell_loss_and_gradient_products_match_dense_reference(seed, d1, d2, n, pool, k):
+    rng, obs = _duplicate_heavy_instance(seed, d1, d2, n, pool)
+    F = Factorization(U=rng.normal(size=(d1, k)), V=rng.normal(size=(d2, k)))
+    loss, grad = empirical_loss_and_grad(F, obs)
+    cells = solver._dedupe_observations(obs)
+    cell_loss, w = solver._cell_loss(cells, F.U, F.V)
+    GV, GtU = solver._cell_grad_products(cells, w, F.U, F.V)
+    assert cell_loss == pytest.approx(loss, rel=1e-12)
+    _assert_close(GV, grad @ F.V)
+    _assert_close(GtU, grad.T @ F.U)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4), **shapes)
+def test_first_trace_entry_is_dense_loss_at_start(seed, d1, d2, n, pool, k):
+    _, obs = _duplicate_heavy_instance(seed, d1, d2, n, pool)
+    constraints = ConstraintSet(alpha=1.0, radius=2.0)
+    k = min(k, d1 + d2)
+    start = init_factors(d1, d2, k, constraints, seed=seed % 1000)
+    expected, _ = empirical_loss_and_grad(start, obs)
+    pgd = fit_pgd(obs, constraints, SolverConfig(k=k, max_iters=1, seed=seed % 1000))
+    sw = fit_stepwise(obs, constraints, SolverConfig(k=k, algorithm="stepwise", epochs=1,
+                                                     seed=seed % 1000))
+    assert pgd.objective_trace[0] == pytest.approx(expected, rel=1e-12)
+    assert sw.objective_trace[0] == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**shapes)
+def test_dedupe_matches_per_cell_reference(seed, d1, d2, n, pool):
+    _, obs = _duplicate_heavy_instance(seed, d1, d2, n, pool)
+    draws = defaultdict(list)
+    for (i, j), y in zip(obs.indices.tolist(), obs.values):
+        draws[i, j].append(y)
+    keys = sorted(draws)
+    cells = solver._dedupe_observations(obs)
+    assert cells.rows.tolist() == [i for i, _ in keys]
+    assert cells.cols.tolist() == [j for _, j in keys]
+    assert cells.counts.tolist() == [len(draws[c]) for c in keys]
+    _assert_close(cells.means, [np.mean(draws[c]) for c in keys])
+    ss = sum(float(((np.array(v) - np.mean(v)) ** 2).sum()) for v in draws.values())
+    assert cells.ss_within == pytest.approx(ss, rel=1e-12, abs=1e-12)
+    assert cells.n == obs.n
+
+
+def _dyadic(rng, shape):
+    # Multiples of 1/8 with small numerators: every product and sum of a few
+    # of them is exact, so the blocked max must equal the dense one bit for
+    # bit whatever order BLAS sums in.
+    return rng.integers(-64, 65, size=shape) / 8.0
+
+
+@pytest.mark.parametrize("d1, d2, block_cells", [
+    (10, 4, 12),  # blocks of 3 rows; d1 is not a multiple of 3
+    (5, 20, 12),  # d2 exceeds one block: one-row blocks
+    (1000, 1500, None),  # the default block size, 699-row blocks
+])
+def test_blocked_max_equals_dense_max(monkeypatch, d1, d2, block_cells):
+    if block_cells is not None:
+        monkeypatch.setattr(solver, "LINF_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(d1 * d2)
+    U, V = _dyadic(rng, (d1, 3)), _dyadic(rng, (d2, 3))
+    U[-1] = 100.0  # the extreme sits in the last, partial block
+    assert solver._max_abs_product(U, V) == np.abs(U @ V.T).max()
+
+
+def test_blocked_max_of_negative_extreme(monkeypatch):
+    monkeypatch.setattr(solver, "LINF_BLOCK_CELLS", 2)
+    U = np.array([[1.0], [-3.0], [0.5]])
+    V = np.array([[2.0], [1.0]])
+    assert (U @ V.T).max() == 2.0
+    assert solver._max_abs_product(U, V) == 6.0
+
+
+def test_blocked_max_propagates_nan(monkeypatch):
+    monkeypatch.setattr(solver, "LINF_BLOCK_CELLS", 2)
+    U = np.array([[1.0], [np.nan], [0.5]])
+    assert np.isnan(solver._max_abs_product(U, np.ones((2, 1))))
+
+
+def test_completed_is_lazy_read_only_and_cached():
+    rng = np.random.default_rng(5)
+    idx = np.column_stack([rng.integers(0, 6, 30), rng.integers(0, 5, 30)])
+    obs = ObservationSet(d1=6, d2=5, indices=idx, values=rng.normal(size=30))
+    res = fit_pgd(obs, ConstraintSet(alpha=1.0, radius=1.5), SolverConfig(k=2, max_iters=20))
+    assert "completed" not in vars(res)  # not built by the solve itself
+    M = res.completed
+    assert not M.flags.writeable
+    assert np.array_equal(M, res.factorization.product())
+    assert res.completed is M
+    with pytest.raises(ValueError):
+        M[0, 0] = 0.0
+
+
+def test_fit_pgd_allocates_no_dense_grid_array():
+    d, n = 2000, 20_000
+    rng = np.random.default_rng(7)
+    idx = np.column_stack([rng.integers(0, d, n), rng.integers(0, d, n)])
+    obs = ObservationSet(d1=d, d2=d, indices=idx, values=rng.normal(size=n))
+    tracemalloc.start()
+    try:
+        fit_pgd(obs, ConstraintSet(alpha=1.0, radius=2.0),
+                SolverConfig(k=3, max_iters=3, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d * np.dtype(np.float64).itemsize
