@@ -180,9 +180,10 @@ def pi_weighted_sq_norm(M, distribution) -> float:
 def format_dense(M) -> str:
     A = check_matrix(M)
     d1, d2 = A.shape
+    template = ",".join(["%.17g"] * d2)
     lines = [f"{d1},{d2}"]
     for row in A:
-        lines.append(",".join(f"{x:.17g}" for x in row))
+        lines.append(template % tuple(row.tolist()))
     return "\n".join(lines) + "\n"
 
 

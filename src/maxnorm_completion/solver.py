@@ -18,9 +18,14 @@ mean value and within-cell sum of squares), which keeps the loss exact
 while every pass touches each observed cell once.  No d1 x d2 array is
 built while solving: a PGD iteration gathers the prediction at the observed
 cells, forms the gradient products G @ V and G.T @ U as per-column segment
-sums, and takes the elementwise max of U @ V.T in row blocks.  Apart from
-that max, which still costs d1 d2 k flops, an iteration's time and memory
-are O((m + d1 + d2) k); the max holds one block of LINF_BLOCK_CELLS cells.
+sums, and takes the elementwise max of U @ V.T exactly by scanning the rows
+of U in decreasing norm and stopping once the Cauchy-Schwarz bound
+|u_i . v_j| <= |u_i| max_j |v_j| of the next row cannot beat the running
+max.  Usually a small share of the rows is scanned; in the worst case
+(every row of U at the same norm, as when all sit on the radius) it covers all
+d1 rows, d1 d2 k flops plus an O(d1 log d1) sort.  Otherwise an iteration's
+time and memory are O((m + d1 + d2) k); the max holds at most one block of
+LINF_BLOCK_CELLS cells.
 SolveResult.completed builds the dense product only when it is read.
 
 Both are deterministic given (observations, constraints, config).
@@ -138,6 +143,7 @@ class _Cells(NamedTuple):
 
     rows: np.ndarray  # int64
     cols: np.ndarray  # int64
+    row_starts: np.ndarray  # int64: index of each observed row's first cell
     counts: np.ndarray  # float64: draws of the cell
     means: np.ndarray  # float64: mean observed value of the cell
     ss_within: float  # sum over all draws of (y_t - mean of its cell)^2
@@ -155,7 +161,9 @@ def _dedupe_observations(obs: ObservationSet) -> _Cells:
     means = np.bincount(inverse, weights=obs.values) / counts
     dev = obs.values - means[inverse]
     rows, cols = np.divmod(uniq, obs.d2)
-    return _Cells(rows=rows, cols=cols, counts=counts.astype(np.float64), means=means,
+    row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return _Cells(rows=rows, cols=cols, row_starts=row_starts,
+                  counts=counts.astype(np.float64), means=means,
                   ss_within=float(dev @ dev), n=obs.n)
 
 
@@ -173,9 +181,15 @@ def _cell_loss(cells: _Cells, U, V):
 
 
 def _cell_grad_products(cells: _Cells, w, U, V):
-    """G @ V and G.T @ U for the gradient G equal to w at the cells, 0 elsewhere."""
-    GV = np.column_stack([np.bincount(cells.rows, weights=w * v[cells.cols],
-                                      minlength=U.shape[0]) for v in V.T.copy()])
+    """G @ V and G.T @ U for the gradient G equal to w at the cells, 0 elsewhere.
+
+    G @ V sums each observed row's contiguous segment of cells; rows with no
+    cell stay 0.  G.T @ U bins over the unsorted columns, which is cheaper
+    than sorting the cells by column once more per fit.
+    """
+    GV = np.zeros_like(U)
+    GV[cells.rows[cells.row_starts]] = np.column_stack(
+        [np.add.reduceat(w * np.take(v, cells.cols), cells.row_starts) for v in V.T.copy()])
     GtU = np.column_stack([np.bincount(cells.cols, weights=w * u[cells.rows],
                                        minlength=V.shape[0]) for u in U.T.copy()])
     return GV, GtU
@@ -216,16 +230,53 @@ def linf_rescale(F: Factorization, alpha: float) -> Factorization:
 
 
 def _max_abs_product(U, V) -> float:
-    """max |U @ V.T| over row blocks of about LINF_BLOCK_CELLS cells.
+    """max |U @ V.T|, exactly, scanning only the rows of U that can attain it.
 
-    NaN propagates as it does through np.abs(U @ V.T).max().
+    Rows of U are taken in decreasing norm, in blocks that start at one row
+    and double up to about LINF_BLOCK_CELLS cells.  The scan stops when the
+    next row's bound |u_i| max_j |v_j| cannot exceed the running max.  NaN
+    propagates as it does through np.abs(U @ V.T).max().
     """
-    step = max(1, LINF_BLOCK_CELLS // V.shape[0])
+    d1, k = U.shape
+    a, b = _row_norms_in_range(U), _row_norms_in_range(V)
+    if a is None or b is None:
+        order, bound = np.arange(d1), None  # full scan
+    else:
+        order = np.argsort(-a, kind="stable")
+        # Slack: each computed row norm can fall short of the true one by
+        # about (k/2 + 1) eps, the two products forming the bound round
+        # once each, and a BLAS dot product of length k can exceed
+        # |u| |v| by k eps in any summation order, with or without FMA.
+        # That is (2k + 4) eps to first order.  Twice that also covers the
+        # higher orders and the subnormal terms, each of which errs by at
+        # most 2^-75 of a nonzero bound within _row_norms_in_range's range.
+        bound = a[order] * (b.max() * (1 + 4 * (k + 2) * np.finfo(np.float64).eps))
+    cap = max(1, LINF_BLOCK_CELLS // V.shape[0])
+    # One buffer for every block: blocks of changing size, each freshly
+    # allocated, fault in new pages on every call.
+    buf = np.empty((min(cap, d1), V.shape[0]))
     m = 0.0
-    for i in range(0, U.shape[0], step):
-        blk = U[i:i + step] @ V.T
+    i, step = 0, 1
+    while i < d1 and (bound is None or bound[i] > m):
+        rows = order[i:i + step]
+        blk = np.matmul(U[rows], V.T, out=buf[:rows.size])
         m = np.max((m, blk.max(), -blk.min()))
+        i, step = i + step, min(2 * step, cap)
     return float(m)
+
+
+def _row_norms_in_range(A):
+    """Euclidean row norms of A, or None unless every row is zero or has its
+    largest magnitude in [2^-500, 2^500].
+
+    In that range no squared norm, norm product or dot product of two rows
+    overflows, and no squared norm underflows, so the pruning bound holds.
+    Non-finite rows fall outside it.
+    """
+    amax = np.abs(A).max(axis=1)
+    if not np.all((amax == 0) | ((amax >= 2.0 ** -500) & (amax <= 2.0 ** 500))):
+        return None
+    return np.sqrt(np.einsum("ij,ij->i", A, A))
 
 
 def _linf_rescale_arrays(U, V, alpha):

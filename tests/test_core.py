@@ -160,6 +160,14 @@ def test_dense_format_header_and_layout():
     assert len(lines) == 4
 
 
+def test_dense_format_is_byte_exact():
+    values = [-0.0, 5e-324, 1e300, 2.0 ** 60, -1 / 3, 0.1]
+    M = np.array([values, values[::-1]])
+    lines = format_dense(M).splitlines()
+    assert lines[1:] == [",".join(f"{x:.17g}" for x in row) for row in M.tolist()]
+    assert lines[1] == "-0,4.9406564584124654e-324,1.0000000000000001e+300,1.152921504606847e+18,-0.33333333333333331,0.10000000000000001"
+
+
 def test_parse_dense_rejects_bad_shapes():
     with pytest.raises(ValidationError):
         parse_dense("2,2\n1,2\n")

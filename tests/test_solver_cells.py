@@ -2,6 +2,7 @@
 
 import tracemalloc
 from collections import defaultdict
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def _dyadic(rng, shape):
 @pytest.mark.parametrize("d1, d2, block_cells", [
     (10, 4, 12),  # blocks of 3 rows; d1 is not a multiple of 3
     (5, 20, 12),  # d2 exceeds one block: one-row blocks
-    (1000, 1500, None),  # the default block size, 699-row blocks
+    (1000, 1500, None),  # the default block size
 ])
 def test_blocked_max_equals_dense_max(monkeypatch, d1, d2, block_cells):
     if block_cells is not None:
@@ -119,6 +120,76 @@ def test_blocked_max_propagates_nan(monkeypatch):
     monkeypatch.setattr(solver, "LINF_BLOCK_CELLS", 2)
     U = np.array([[1.0], [np.nan], [0.5]])
     assert np.isnan(solver._max_abs_product(U, np.ones((2, 1))))
+
+
+def _assert_max_matches_dense(U, V):
+    np.testing.assert_equal(solver._max_abs_product(U, V), np.abs(U @ V.T).max())
+
+
+@pytest.mark.parametrize("block_cells", [None, 4])
+def test_pruned_max_scans_past_orthogonal_large_rows(monkeypatch, block_cells):
+    if block_cells is not None:
+        monkeypatch.setattr(solver, "LINF_BLOCK_CELLS", block_cells)
+    V = np.array([[1.0, 0.0], [0.5, 0.0], [-0.25, 0.0]])
+    U = np.zeros((12, 2))
+    U[:11, 1] = np.arange(11) + 64.0  # large rows, orthogonal to every row of V
+    U[11] = [0.25, 0.0]  # the smallest nonzero row holds the max
+    assert solver._max_abs_product(U, V) == 0.25
+    _assert_max_matches_dense(U, V)
+
+
+def test_pruned_max_keeps_row_whose_bound_is_the_max():
+    # Row 1 is parallel to the longest v, so its bound |u| |v| = 3 is its
+    # max.  Rounded, sqrt(3) * sqrt(3) = 3 - 2^-51, which is exactly what
+    # row 0 (the larger norm, scanned first) attains: without the rounding
+    # slack the scan would stop before row 1.
+    V = np.array([[1.0, 1.0, 1.0], [0.5, 0.0, 0.0]])
+    U = np.array([[1.5 - 2.0 ** -51, 1.5, 0.0], [1.0, 1.0, 1.0], [0.5, 0.5, 0.0]])
+    assert np.sqrt(3.0) * np.sqrt(3.0) == 3 - 2.0 ** -51
+    assert solver._max_abs_product(U, V) == 3.0
+    _assert_max_matches_dense(U, V)
+
+
+@pytest.mark.parametrize("U, V", [
+    (np.zeros((3, 2)), np.zeros((4, 2))),
+    (np.zeros((3, 2)), np.ones((4, 2))),
+    (np.array([[0.5, -2.0]]), np.array([[1.0, 3.0], [-4.0, 0.25]])),
+])
+def test_pruned_max_of_zero_factors_and_single_row(U, V):
+    _assert_max_matches_dense(U, V)
+
+
+def test_pruned_max_of_row_whose_squared_norm_underflows():
+    # The squares of 2^-540 underflow to 0, so the computed row norm is 0
+    # although the row attains 2^-40 against V: such rows get the full scan.
+    U = np.array([[2.0 ** -540, 0.0], [0.0, 0.0]])
+    V = np.array([[2.0 ** 500, 0.0], [0.0, 1.0]])
+    assert solver._max_abs_product(U, V) == 2.0 ** -40
+    _assert_max_matches_dense(U, V)
+
+
+@pytest.mark.parametrize("U, V", [
+    (np.array([[1.0, 0.0], [np.inf, 0.0], [0.5, 0.5]]), np.array([[1.0, 0.0], [-2.0, 0.0]])),
+    (np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([[1.0, 0.0], [np.nan, 0.0], [0.5, 0.5]])),
+])
+def test_pruned_max_of_non_finite_factors(U, V):
+    assert not np.isfinite(solver._max_abs_product(U, V))
+    _assert_max_matches_dense(U, V)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d1=st.integers(1, 40), d2=st.integers(1, 10),
+       k=st.integers(1, 4), block_rows=st.sampled_from([None, 1, 3]))
+def test_pruned_max_equals_dense_max(seed, d1, d2, k, block_rows):
+    rng = np.random.default_rng(seed)
+    # Each row is dyadic times its own power of two, 2^-20 to 2^20: the row
+    # norms spread over twelve orders of magnitude while every dot product
+    # stays exact.
+    U = _dyadic(rng, (d1, k)) * 2.0 ** rng.integers(-20, 21, size=(d1, 1))
+    V = _dyadic(rng, (d2, k)) * 2.0 ** rng.integers(-20, 21, size=(d2, 1))
+    block_cells = solver.LINF_BLOCK_CELLS if block_rows is None else block_rows * d2
+    with patch.object(solver, "LINF_BLOCK_CELLS", block_cells):
+        _assert_max_matches_dense(U, V)
 
 
 def test_completed_is_lazy_read_only_and_cached():
