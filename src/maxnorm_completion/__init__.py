@@ -3,7 +3,7 @@
 Recovers approximately low-rank matrices from noisy, non-uniformly sampled
 entries by minimizing the empirical quadratic loss subject to an
 elementwise bound and a factor row-norm (max-norm) bound, solved in
-factored form by first-order methods.  Also ships the rank-estimation
+factored form by projected gradient descent.  Also ships the rank-estimation
 search used to pick the constraint radius, and verification tools for the
 norm inequalities, packing construction, Rademacher complexity bound and
 risk-rate formulas that back the estimator.
@@ -42,9 +42,7 @@ from .solver import (
     SolverConfig,
     default_factor_width,
     empirical_loss_and_grad,
-    fit,
     fit_pgd,
-    fit_stepwise,
     init_factors,
     linf_rescale,
     project_factor_rows,

@@ -2,17 +2,17 @@
 
 All randomness in the package flows through PCG64 (numpy's default 64-bit
 generator) seeded via SeedSequence.  Distinct purposes (index sampling,
-noise, solver init, shuffling, ...) get distinct spawn keys so that, e.g.,
+noise, solver init, ...) get distinct spawn keys so that, e.g.,
 changing the noise model never perturbs which indices are drawn.
 """
 
 import numpy as np
 
-# Stream ids; fixed forever so seeded runs stay reproducible.
+# Stream ids; fixed forever so seeded runs stay reproducible.  Id 3 is
+# unused; the other ids keep their values.
 SAMPLING = 0
 NOISE = 1
 INIT = 2
-SHUFFLE = 3
 PACKING = 4
 RADEMACHER = 5
 GROUND_TRUTH = 6

@@ -20,7 +20,7 @@ from .model_select import (PartialMatrix, RankSearchConfig, estimate_rank,
 from .sampling import (NoiseModel, load_distribution, load_observations,
                        make_distribution, observe, sample_indices,
                        save_distribution, save_observations)
-from .solver import DivergenceError, SolverConfig, default_factor_width, fit
+from .solver import DivergenceError, SolverConfig, default_factor_width, fit_pgd
 from .theory import (PackingConfig, RateParams, format_report,
                      packing_generate, packing_report_items, packing_verify,
                      rademacher_report_items, rademacher_sign_sup,
@@ -35,19 +35,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _solver_flags(p, include_algorithm=True):
-    p.add_argument("--k", type=int, default=None, help="factor width (default: min(d1,d2,32))")
+def _solver_flags(p):
     p.add_argument("--tau", type=float, default=SolverConfig(k=1).tau, help="step size")
     p.add_argument("--max-iters", type=int, default=SolverConfig(k=1).max_iters)
     p.add_argument("--tol", type=float, default=SolverConfig(k=1).tol,
                    help="relative objective-change stop")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=SolverConfig(k=1).epochs,
-                   help="stepwise passes over the data")
     p.add_argument("--no-backtrack", action="store_true",
                    help="disable step halving on objective increase")
-    if include_algorithm:
-        p.add_argument("--solver", choices=["pgd", "stepwise"], default="pgd")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,6 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--k", type=int, default=None, help="factor width (default: min(d1,d2,32))")
     _solver_flags(p)
     p.add_argument("--out", required=True, help="completed matrix (dense format)")
     p.add_argument("--trace-out", default=None, help="objective trace, one value per line")
@@ -150,18 +146,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _solver_config(args, d1, d2, rank_hint=None) -> SolverConfig:
-    k = args.k if args.k is not None else default_factor_width(d1, d2, rank_hint)
+def _solver_config(args, k) -> SolverConfig:
     return SolverConfig(k=k, tau=args.tau, max_iters=args.max_iters, tol=args.tol,
-                        seed=args.seed, algorithm=getattr(args, "solver", "pgd"),
-                        epochs=args.epochs, backtrack=not args.no_backtrack)
+                        seed=args.seed, backtrack=not args.no_backtrack)
 
 
 def _cmd_fit(args) -> int:
     obs = load_observations(args.obs)
-    cfg = _solver_config(args, obs.d1, obs.d2)
+    cfg = _solver_config(args, args.k if args.k is not None
+                         else default_factor_width(obs.d1, obs.d2))
     constraints = ConstraintSet(alpha=args.alpha, radius=args.radius)
-    result = fit(obs, constraints, cfg)
+    result = fit_pgd(obs, constraints, cfg)
     save_dense(args.out, result.completed)
     if args.trace_out:
         with open(args.trace_out, "w", encoding="ascii", newline="\n") as fh:
@@ -177,7 +172,8 @@ def _cmd_rank_estimate(args) -> int:
         if alpha0 <= 0:
             raise ValidationError("cannot infer alpha0 from all-zero observations")
     P = PartialMatrix.from_observations(obs)
-    solver_cfg = _solver_config(args, obs.d1, obs.d2)
+    # The search sets the factor width of each candidate itself.
+    solver_cfg = _solver_config(args, default_factor_width(obs.d1, obs.d2))
     est = estimate_rank(P, RankSearchConfig(alpha0=alpha0, r_max=args.r_max,
                                             solver=solver_cfg))
     save_rank_report(args.out, est)

@@ -17,7 +17,7 @@ import numpy as np
 from . import _rng
 from .core import ConstraintSet, ValidationError, check_matrix, pi_weighted_sq_norm
 from .sampling import NoiseModel, SamplingDistribution, make_distribution, observe, sample_indices
-from .solver import DivergenceError, SolverConfig, fit
+from .solver import DivergenceError, SolverConfig, fit_pgd
 
 CSV_HEADER = ("n,replicate,seed,per_entry_mse,pi_weighted_mse,runtime_ms,"
               "iterations,feasible_rows,feasible_linf,status")
@@ -119,7 +119,7 @@ def run_trial(M0, distribution, noise, constraints, solver_cfg, n, seed,
     obs = observe(M0, idx, noise, seed)
     start = clock()
     try:
-        result = fit(obs, constraints, replace(solver_cfg, seed=seed))
+        result = fit_pgd(obs, constraints, replace(solver_cfg, seed=seed))
         status = "ok"
     except DivergenceError:
         result = None
@@ -249,7 +249,7 @@ def fit_scaling_slope(records) -> SlopeFit:
 
 # ---------------------------------------------------------------------------
 # Config file: flat "key = value" lines, "#" comments, dotted section
-# prefixes.  The full grammar is documented in the README.
+# prefixes.  The keys are listed in parse_config_text.
 
 _REQUIRED_KEYS = ("truth.d1", "truth.d2", "truth.rank", "truth.alpha", "grid.n")
 
@@ -260,13 +260,31 @@ _KNOWN_KEYS = {
     "noise.kind", "noise.sigma",
     "grid.n", "grid.replicates",
     "constraints.alpha", "constraints.radius_rule",
-    "solver.algorithm", "solver.k", "solver.tau", "solver.max_iters",
-    "solver.tol", "solver.epochs", "solver.backtrack",
+    "solver.k", "solver.tau", "solver.max_iters", "solver.tol",
+    "solver.backtrack",
     "experiment.seed", "output.path",
 }
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
+    """Parse an experiment config.
+
+    One "key = value" per line; "#" starts a comment.  An unknown or repeated
+    key is an error; lists are comma-separated.  Keys and defaults:
+
+      truth.d1, truth.d2, truth.rank, truth.alpha: required; truth.seed = 0
+      sampling.kind = uniform | product | file; product reads the weight lists
+          sampling.row_marginals and sampling.col_marginals, file sampling.file
+      noise.kind = none | gaussian | laplace; noise.sigma = 0
+      grid.n: required, strictly increasing; grid.replicates = 1
+      constraints.alpha = auto, meaning truth.alpha
+      constraints.radius_rule = alpha_sqrt_rank (alpha * sqrt(truth.rank)),
+          or a number: a fixed radius
+      solver.k = auto, meaning truth.rank + 1; solver.tau = 0.1;
+          solver.max_iters = 5000; solver.tol = 1e-7; solver.backtrack = true
+          (only "false", in any case, turns it off)
+      experiment.seed = 0; output.path: unset, else the records CSV is written there
+    """
     kv = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -325,8 +343,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         tau=float(kv.get("solver.tau", str(SolverConfig(k=1).tau))),
         max_iters=int(kv.get("solver.max_iters", str(SolverConfig(k=1).max_iters))),
         tol=float(kv.get("solver.tol", str(SolverConfig(k=1).tol))),
-        algorithm=kv.get("solver.algorithm", "pgd"),
-        epochs=int(kv.get("solver.epochs", str(SolverConfig(k=1).epochs))),
         backtrack=kv.get("solver.backtrack", "true").lower() != "false",
     )
 

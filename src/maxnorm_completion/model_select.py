@@ -5,8 +5,9 @@ magnitude profiles of that initial fill, then for each candidate rank r
 solves the constrained completion with radius alpha0 * sqrt(r) and scores
 the completion by the Frobenius distance between its profile and the
 initial one.  The r minimizing that distance is returned (smallest r on
-ties).  A radius-sweep variant searches over the radius directly instead
-of the rank.
+ties).  radius_sweep scores radii the same way.  Both build a list of
+candidates, (label, constraints, solver config), and run it through one
+search loop.
 """
 
 from dataclasses import dataclass, replace
@@ -15,7 +16,8 @@ import numpy as np
 
 from .core import ConstraintSet, ValidationError, check_matrix, _frozen, format_dense, parse_dense
 from .sampling import ObservationSet
-from .solver import DivergenceError, SolverConfig, _dedupe_observations, fit
+# Named `fit` here: bench/workloads.py::_fit_log patches model_select.fit to count candidate fits.
+from .solver import DivergenceError, SolverConfig, _dedupe_observations, fit_pgd as fit
 
 
 @dataclass(frozen=True)
@@ -141,39 +143,20 @@ def estimate_rank(P: PartialMatrix, cfg: RankSearchConfig,
         raise ValidationError(
             f"r_max={cfg.r_max} exceeds min(d1, d2) = {min(P.d1, P.d2)}"
         )
-    obs = P.to_observations()
-    profile0 = spectral_magnitude(column_mean_init(P))
-    errors = []
-    profiles = {} if keep_profiles else None
-    best = None  # (e_r, r, completion)
-    for r in range(2, cfg.r_max + 1):
-        constraints = ConstraintSet(alpha=cfg.alpha0, radius=cfg.alpha0 * np.sqrt(r))
-        solver_cfg = replace(cfg.solver, k=r + 1)
-        try:
-            result = fit(obs, constraints, solver_cfg)
-        except DivergenceError:
-            errors.append((r, float("inf")))
-            continue
-        profile_r = spectral_magnitude(result.completed)
-        e_r = profile_distance(profile0, profile_r)
-        errors.append((r, e_r))
-        if profiles is not None:
-            profiles[r] = profile_r
-        if best is None or e_r < best[0]:
-            best = (e_r, r, result.completed)
-    if best is None:
-        raise DivergenceError(iteration=cfg.r_max,
-                              message="every candidate rank diverged in the rank search")
-    return RankEstimate(r_star=best[1], errors=tuple(errors), chosen=best[2],
+    candidates = [(r, ConstraintSet(alpha=cfg.alpha0, radius=cfg.alpha0 * np.sqrt(r)),
+                   replace(cfg.solver, k=r + 1)) for r in range(2, cfg.r_max + 1)]
+    errors, r_star, chosen, profile0, profiles = _search(P, candidates, keep_profiles)
+    return RankEstimate(r_star=r_star, errors=errors, chosen=chosen,
                         profile_init=profile0, profiles=profiles)
 
 
 def radius_sweep(P: PartialMatrix, cfg: RankSearchConfig, delta: float | None = None,
                  radius_max: float | None = None) -> RadiusSweep:
-    """Alternative search over the radius: alpha0*sqrt(2), += delta, up to radius_max.
+    """Search over the radius instead: alpha0*sqrt(2), += delta, up to radius_max.
 
     Default step is alpha0 * (sqrt(2) - 1); default cap alpha0 * sqrt(r_max).
-    The solver template's factor width is used as-is.
+    The solver template's factor width is used as-is.  Divergence is scored
+    as in estimate_rank.
     """
     if delta is None:
         delta = cfg.alpha0 * (np.sqrt(2.0) - 1.0)
@@ -181,27 +164,45 @@ def radius_sweep(P: PartialMatrix, cfg: RankSearchConfig, delta: float | None = 
         raise ValidationError(f"delta must be positive, got {delta}")
     if radius_max is None:
         radius_max = cfg.alpha0 * np.sqrt(cfg.r_max)
+    candidates = []
+    radius = cfg.alpha0 * np.sqrt(2.0)
+    while radius <= radius_max + 1e-12:
+        candidates.append((radius, ConstraintSet(alpha=cfg.alpha0, radius=radius), cfg.solver))
+        radius += delta
+    errors, radius_star, chosen, _, _ = _search(P, candidates)
+    return RadiusSweep(radius_star=radius_star, errors=errors, chosen=chosen)
+
+
+def _search(P: PartialMatrix, candidates, keep_profiles: bool = False):
+    """Fit each (label, constraints, solver config) candidate in order.
+
+    Each completion is scored by the distance of its spectral profile from
+    the column-mean fill's; a diverged fit scores infinity.  Returns
+    (((label, error), ...), best label, its completion, the initial profile,
+    {label: profile} or None); ties go to the earliest candidate.
+    """
     obs = P.to_observations()
     profile0 = spectral_magnitude(column_mean_init(P))
     errors = []
-    best = None
-    radius = cfg.alpha0 * np.sqrt(2.0)
-    while radius <= radius_max + 1e-12:
+    profiles = {} if keep_profiles else None
+    best = None  # (error, label, completion)
+    for label, constraints, solver_cfg in candidates:
         try:
-            result = fit(obs, ConstraintSet(alpha=cfg.alpha0, radius=radius), cfg.solver)
+            result = fit(obs, constraints, solver_cfg)
         except DivergenceError:
-            errors.append((radius, float("inf")))
-            radius += delta
+            errors.append((label, float("inf")))
             continue
-        e = profile_distance(profile0, spectral_magnitude(result.completed))
-        errors.append((radius, e))
+        profile = spectral_magnitude(result.completed)
+        e = profile_distance(profile0, profile)
+        errors.append((label, e))
+        if profiles is not None:
+            profiles[label] = profile
         if best is None or e < best[0]:
-            best = (e, radius, result.completed)
-        radius += delta
+            best = (e, label, result.completed)
     if best is None:
         raise DivergenceError(iteration=len(errors),
-                              message="every candidate radius diverged in the sweep")
-    return RadiusSweep(radius_star=best[1], errors=tuple(errors), chosen=best[2])
+                              message="every candidate diverged in the search")
+    return tuple(errors), best[1], best[2], profile0, profiles
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,14 @@
-"""Factored first-order solvers for max-norm constrained least squares.
+"""Factored projected gradient descent for max-norm constrained least squares.
 
 The estimator minimizes the empirical quadratic loss over matrices with
 elementwise max <= alpha and factor row norms^2 <= radius, working on the
-factor pair (U, V) directly.  Two algorithms:
+factor pair (U, V) directly.  fit_pgd is the factored projected-gradient
+method of Lee, Recht, Salakhutdinov, Srebro & Tropp (NeurIPS 2010): a
+simultaneous gradient step on both factors, then a global rescale restoring
+the elementwise bound, then row-wise Euclidean projection onto the radius
+ball.
 
-  * fit_pgd      -- full projected gradient descent: simultaneous gradient
-                    step on both factors, then a global rescale restoring
-                    the elementwise bound, then row-wise Euclidean
-                    projection onto the radius ball.
-  * fit_stepwise -- per-observation gradient steps touching only row i of U
-                    and row j of V, with the same rescale/projection applied
-                    locally;  duplicate cells are visited once per epoch
-                    with their values averaged.
-
-Both first collapse the observations onto their m unique cells (draw count,
+It first collapses the observations onto their m unique cells (draw count,
 mean value and within-cell sum of squares), which keeps the loss exact
 while every pass touches each observed cell once.  No d1 x d2 array is
 built while solving: a PGD iteration gathers the prediction at the observed
@@ -28,7 +23,7 @@ time and memory are O((m + d1 + d2) k); the max holds at most one block of
 LINF_BLOCK_CELLS cells.
 SolveResult.completed builds the dense product only when it is read.
 
-Both are deterministic given (observations, constraints, config).
+The fit is deterministic given (observations, constraints, config).
 """
 
 from dataclasses import dataclass
@@ -41,12 +36,9 @@ from . import _rng
 from .core import ConstraintSet, Factorization, ValidationError, check_matrix
 from .sampling import ObservationSet
 
-ALGORITHMS = ("pgd", "stepwise")
-
 DEFAULT_TAU = 0.1
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 5000
-DEFAULT_EPOCHS = 50
 MAX_HALVINGS = 20
 
 # Slack for the constraint checks reported on returned iterates.
@@ -59,11 +51,10 @@ LINF_BLOCK_CELLS = 1 << 20
 class DivergenceError(RuntimeError):
     """Objective became non-finite (step size too large for the instance)."""
 
-    def __init__(self, iteration: int, algorithm: str = "", message: str | None = None):
+    def __init__(self, iteration: int, message: str | None = None):
         self.iteration = iteration
-        self.algorithm = algorithm
         if message is None:
-            message = f"{algorithm} diverged at iteration {iteration}: objective is non-finite"
+            message = f"pgd diverged at iteration {iteration}: objective is non-finite"
         super().__init__(message)
 
 
@@ -74,9 +65,7 @@ class SolverConfig:
     max_iters: int = DEFAULT_MAX_ITERS
     tol: float = DEFAULT_TOL
     seed: int = 0
-    algorithm: str = "pgd"
-    epochs: int = DEFAULT_EPOCHS
-    backtrack: bool = True  # halve tau on objective increase (pgd only)
+    backtrack: bool = True  # halve tau on objective increase
 
     def __post_init__(self):
         if self.k < 1:
@@ -87,10 +76,6 @@ class SolverConfig:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValidationError(f"tol must be positive, got {self.tol}")
-        if self.algorithm not in ALGORITHMS:
-            raise ValidationError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass(frozen=True)
@@ -109,10 +94,8 @@ class SolveResult:
         return M
 
 
-def default_factor_width(d1: int, d2: int, rank_hint=None) -> int:
-    """k = rank_hint + 1 when a rank hint exists, else a fixed cap."""
-    if rank_hint is not None:
-        return min(d1, d2, rank_hint + 1)
+def default_factor_width(d1: int, d2: int) -> int:
+    """A fixed cap on the factor width: min(d1, d2, 32)."""
     return min(d1, d2, 32)
 
 
@@ -121,8 +104,8 @@ def empirical_loss_and_grad(F: Factorization, obs: ObservationSet):
 
     loss = (1/n) sum_t (y_t - (U V^T)_{i_t j_t})^2.  The gradient is a dense
     d1 x d2 array, nonzero only at observed cells; repeated draws of a cell
-    accumulate with multiplicity.  This is the dense reference: the solvers
-    compute the same loss and gradient products cell by cell and never build
+    accumulate with multiplicity.  This is the dense reference: the solver
+    computes the same loss and gradient products cell by cell and never builds
     this array.
     """
     if (F.d1, F.d2) != (obs.d1, obs.d2):
@@ -301,31 +284,6 @@ def init_factors(d1: int, d2: int, k: int, constraints: ConstraintSet,
     return Factorization(U=U, V=V)
 
 
-def fit(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) -> SolveResult:
-    """Dispatch on cfg.algorithm."""
-    if cfg.algorithm == "pgd":
-        return fit_pgd(obs, constraints, cfg)
-    return fit_stepwise(obs, constraints, cfg)
-
-
-def _check_width(cfg, obs):
-    if cfg.k > obs.d1 + obs.d2:
-        raise ValidationError(f"k={cfg.k} exceeds d1 + d2 = {obs.d1 + obs.d2}")
-
-
-def _finish(U, V, trace, iterations, constraints) -> SolveResult:
-    F = Factorization(U=U, V=V)
-    max_sq = max((F.U * F.U).sum(axis=1).max(), (F.V * F.V).sum(axis=1).max())
-    linf = _max_abs_product(F.U, F.V)
-    return SolveResult(
-        factorization=F,
-        objective_trace=tuple(trace),
-        iterations_run=iterations,
-        feasible_rows=bool(max_sq <= constraints.radius + FEASIBILITY_SLACK),
-        feasible_linf=bool(linf <= constraints.alpha + FEASIBILITY_SLACK),
-    )
-
-
 def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) -> SolveResult:
     """Projected gradient descent on the factor pair.
 
@@ -336,9 +294,8 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
     helps, the iterate is kept and the solve stops.  The accepted trial's
     cell residuals give the next gradient.
     """
-    if cfg.algorithm != "pgd":
-        raise ValidationError(f"fit_pgd requires algorithm='pgd', got {cfg.algorithm!r}")
-    _check_width(cfg, obs)
+    if cfg.k > obs.d1 + obs.d2:
+        raise ValidationError(f"k={cfg.k} exceeds d1 + d2 = {obs.d1 + obs.d2}")
     alpha, radius = constraints.alpha, constraints.radius
     cells = _dedupe_observations(obs)
     F0 = init_factors(obs.d1, obs.d2, cfg.k, constraints, cfg.seed)
@@ -363,7 +320,7 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
                     accepted = (Un, Vn, new_loss, new_w)
                     break
                 if not cfg.backtrack:
-                    raise DivergenceError(iteration=it, algorithm="pgd")
+                    raise DivergenceError(iteration=it)
                 tau *= 0.5
             if accepted is None:
                 break  # no admissible step; current iterate is the answer
@@ -373,82 +330,12 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
             iterations = it
             if abs(loss - prev) <= cfg.tol * max(prev, 1e-12):
                 break
-    return _finish(U, V, trace, iterations, constraints)
-
-
-def fit_stepwise(obs: ObservationSet, constraints: ConstraintSet,
-                 cfg: SolverConfig, audit_hook=None) -> SolveResult:
-    """Per-cell gradient steps over the deduplicated observations.
-
-    For each observed cell (i, j) in a seeded shuffled order: simultaneous
-    step on rows U_i and V_j from their pre-step values, local elementwise
-    rescale of the pair when |U_i V_j| > alpha, then row projection of the
-    touched rows.  The recorded objective is the full empirical loss (with
-    multiplicity) after each epoch.  A final global rescale/projection pass
-    makes the returned iterate feasible for both constraints, since the
-    per-pair rescale only controls the entries visited during the epoch.
-
-    `audit_hook(i, j, u_sq, v_sq)`, when given, is called after every row
-    update with the touched rows' squared norms (debug aid).
-    """
-    if cfg.algorithm != "stepwise":
-        raise ValidationError(
-            f"fit_stepwise requires algorithm='stepwise', got {cfg.algorithm!r}"
-        )
-    _check_width(cfg, obs)
-    cells = _dedupe_observations(obs)
-    F0 = init_factors(obs.d1, obs.d2, cfg.k, constraints, cfg.seed)
-    U, V = F0.U.copy(), F0.V.copy()
-    trace = [_cell_loss(cells, U, V)[0]]
-    shuffle_rng = _rng.stream_rng(cfg.seed, _rng.SHUFFLE)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _stepwise_epochs(cells, cfg, constraints, U, V, trace, shuffle_rng, audit_hook)
-
-
-def _stepwise_epochs(cells, cfg, constraints, U, V, trace, shuffle_rng, audit_hook):
-    alpha, radius = constraints.alpha, constraints.radius
-    rows, cols, targets = cells.rows, cells.cols, cells.means
-    m = rows.shape[0]
-    loss = trace[-1]
-    epochs_run = 0
-    for epoch in range(1, cfg.epochs + 1):
-        for t in shuffle_rng.permutation(m):
-            i, j, y = rows[t], cols[t], targets[t]
-            ui = U[i]
-            vj = V[j]
-            g = 2.0 * (ui @ vj - y)
-            ui_new = ui - cfg.tau * g * vj
-            vj_new = vj - cfg.tau * g * ui
-            t_new = ui_new @ vj_new
-            a = abs(t_new)
-            if a > alpha:
-                s = np.sqrt(alpha) / np.sqrt(a)
-                ui_new = ui_new * s
-                vj_new = vj_new * s
-            nu = ui_new @ ui_new
-            if nu > radius:
-                ui_new = ui_new * np.sqrt(radius / nu)
-            nv = vj_new @ vj_new
-            if nv > radius:
-                vj_new = vj_new * np.sqrt(radius / nv)
-            U[i] = ui_new
-            V[j] = vj_new
-            if audit_hook is not None:
-                audit_hook(int(i), int(j), float(ui_new @ ui_new), float(vj_new @ vj_new))
-        new_loss = _cell_loss(cells, U, V)[0]
-        if not np.isfinite(new_loss):
-            raise DivergenceError(iteration=epoch, algorithm="stepwise")
-        prev, loss = loss, new_loss
-        trace.append(loss)
-        epochs_run = epoch
-        if abs(loss - prev) <= cfg.tol * max(prev, 1e-12):
-            break
-    U, V = _linf_rescale_arrays(U, V, alpha)
-    U = _project_rows_inplace(U.copy(), radius)
-    V = _project_rows_inplace(V.copy(), radius)
-    final_loss = _cell_loss(cells, U, V)[0]
-    if not np.isfinite(final_loss):
-        raise DivergenceError(iteration=epochs_run, algorithm="stepwise")
-    if final_loss != trace[-1]:
-        trace.append(final_loss)
-    return _finish(U, V, trace, epochs_run, constraints)
+    F = Factorization(U=U, V=V)
+    max_sq = max((F.U * F.U).sum(axis=1).max(), (F.V * F.V).sum(axis=1).max())
+    return SolveResult(
+        factorization=F,
+        objective_trace=tuple(trace),
+        iterations_run=iterations,
+        feasible_rows=bool(max_sq <= radius + FEASIBILITY_SLACK),
+        feasible_linf=bool(_max_abs_product(F.U, F.V) <= alpha + FEASIBILITY_SLACK),
+    )

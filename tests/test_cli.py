@@ -83,6 +83,12 @@ def test_validation_errors_exit_one(tmp_path):
     _, obs_path = _simulate(tmp_path, n=30)
     assert main(["fit", "--obs", str(obs_path), "--alpha", "2.0",
                  "--radius", "1.0", "--out", str(tmp_path / "o")]) == 1
+    # the stepwise solver and its flags are gone
+    assert main(["fit", "--obs", str(obs_path), "--alpha", "1", "--radius", "1",
+                 "--solver", "stepwise", "--out", str(tmp_path / "o")]) == 1
+    # rank-estimate sets each candidate's factor width itself: --k is no flag there
+    assert main(["rank-estimate", "--obs", str(obs_path), "--r-max", "3", "--k", "3",
+                 "--out", str(tmp_path / "o")]) == 1
 
 
 def test_rank_estimate_report(tmp_path):

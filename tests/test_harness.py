@@ -208,7 +208,6 @@ grid.n = 60,120,240
 grid.replicates = 2
 constraints.alpha = auto
 constraints.radius_rule = alpha_sqrt_rank
-solver.algorithm = pgd
 solver.k = auto
 solver.tau = 1.0
 solver.max_iters = 300
@@ -237,6 +236,9 @@ def test_parse_config_rejects_unknown_and_duplicate_keys():
         parse_config_text(CONFIG_TEXT + "\ntruth.d1 = 9\n")
     with pytest.raises(ValidationError):
         parse_config_text("truth.d1 = 4\n")  # missing required keys
+    for removed in ("solver.algorithm = pgd", "solver.epochs = 5"):
+        with pytest.raises(ValidationError, match="unknown key"):
+            parse_config_text(CONFIG_TEXT + removed + "\n")
 
 
 def test_fixed_radius_rule():

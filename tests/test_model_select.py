@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from maxnorm_completion import (
+    DivergenceError,
     ObservationSet,
     PartialMatrix,
     RankSearchConfig,
@@ -12,6 +13,7 @@ from maxnorm_completion import (
     radius_sweep,
     spectral_magnitude,
 )
+from maxnorm_completion import model_select
 from maxnorm_completion.model_select import (
     format_rank_report,
     load_rank_report,
@@ -154,6 +156,68 @@ def test_radius_sweep_runs_and_picks_minimum():
     assert all(b > a for a, b in zip(radii, radii[1:]))
     best = min(sweep.errors, key=lambda t: t[1])
     assert sweep.radius_star == best[0]
+
+
+def _rank_one_problem():
+    rng = np.random.default_rng(23)
+    M0 = np.outer(rng.uniform(0.5, 1.0, 6), rng.uniform(0.5, 1.0, 6))
+    M0 /= np.abs(M0).max()
+    P = PartialMatrix(d1=6, d2=6, mask=np.ones((6, 6), dtype=bool), values=M0)
+    return P, RankSearchConfig(alpha0=1.0, r_max=4, solver=_solver_template(max_iters=300))
+
+
+def _patch_fit(monkeypatch, diverges):
+    """Route the searches' fits through a wrapper that raises where `diverges` says.
+
+    Returns the list of (constraints, config) of every fit the search asked for.
+    """
+    inner, calls = model_select.fit, []
+
+    def fit(obs, constraints, cfg):
+        calls.append((constraints, cfg))
+        if diverges(constraints, cfg):
+            raise DivergenceError(iteration=1)
+        return inner(obs, constraints, cfg)
+
+    monkeypatch.setattr(model_select, "fit", fit)
+    return calls
+
+
+def test_estimate_rank_scores_diverged_candidates_inf(monkeypatch):
+    P, cfg = _rank_one_problem()
+    clean = estimate_rank(P, cfg)
+    calls = _patch_fit(monkeypatch, lambda c, s: s.k == clean.r_star + 1)
+    est = estimate_rank(P, cfg)
+    assert [s.k for _, s in calls] == [3, 4, 5]
+    expected = [(r, float("inf") if r == clean.r_star else e) for r, e in clean.errors]
+    assert list(est.errors) == expected
+    best = min((e, r) for r, e in expected)
+    assert np.isfinite(best[0]) and est.r_star == best[1]
+    assert np.isfinite(est.chosen).all()
+
+    calls = _patch_fit(monkeypatch, lambda c, s: True)
+    with pytest.raises(DivergenceError):
+        estimate_rank(P, cfg)
+    assert len(calls) == 3
+
+
+def test_radius_sweep_scores_diverged_candidates_inf(monkeypatch):
+    P, cfg = _rank_one_problem()
+    clean = radius_sweep(P, cfg)
+    calls = _patch_fit(monkeypatch, lambda c, s: c.radius == clean.radius_star)
+    sweep = radius_sweep(P, cfg)
+    assert [c.radius for c, _ in calls] == [rad for rad, _ in clean.errors]
+    expected = [(rad, float("inf") if rad == clean.radius_star else e)
+                for rad, e in clean.errors]
+    assert list(sweep.errors) == expected
+    best = min((e, rad) for rad, e in expected)
+    assert np.isfinite(best[0]) and sweep.radius_star == best[1]
+    assert np.isfinite(sweep.chosen).all()
+
+    calls = _patch_fit(monkeypatch, lambda c, s: True)
+    with pytest.raises(DivergenceError):
+        radius_sweep(P, cfg)
+    assert len(calls) == len(clean.errors)
 
 
 def test_rank_report_round_trip(tmp_path):

@@ -5,21 +5,14 @@ from maxnorm_completion import (
     ConstraintSet,
     DivergenceError,
     Factorization,
-    NoiseModel,
     ObservationSet,
     SolverConfig,
     ValidationError,
     default_factor_width,
     empirical_loss_and_grad,
-    fit,
     fit_pgd,
-    fit_stepwise,
-    init_factors,
     linf_rescale,
-    make_distribution,
-    observe,
     project_factor_rows,
-    sample_indices,
 )
 
 
@@ -222,94 +215,9 @@ def test_fit_pgd_divergence_without_backtracking():
     assert err.value.iteration >= 1
 
 
-def test_fit_stepwise_single_cell_hand_oracle():
-    # One cell, one observation, one epoch: the update is plain scalar
-    # arithmetic on the seeded initial factors.
-    obs = ObservationSet(d1=1, d2=1, indices=np.array([[0, 0]]), values=np.array([0.8]))
-    constraints = ConstraintSet(alpha=2.0, radius=4.0)
-    cfg = SolverConfig(k=1, tau=0.25, max_iters=1, tol=1e-30, seed=21,
-                       algorithm="stepwise", epochs=1)
-    F0 = init_factors(1, 1, 1, constraints, seed=21)
-    u, v = F0.U[0, 0], F0.V[0, 0]
-    y = 0.8
-    g = 2.0 * (u * v - y)
-    u_new = u - 0.25 * g * v
-    v_new = v - 0.25 * g * u
-    t_new = u_new * v_new
-    if abs(t_new) > constraints.alpha:
-        s = np.sqrt(constraints.alpha) / np.sqrt(abs(t_new))
-        u_new, v_new = u_new * s, v_new * s
-    if u_new ** 2 > constraints.radius:
-        u_new *= np.sqrt(constraints.radius / u_new ** 2)
-    if v_new ** 2 > constraints.radius:
-        v_new *= np.sqrt(constraints.radius / v_new ** 2)
-    res = fit_stepwise(obs, constraints, cfg)
-    assert res.completed[0, 0] == pytest.approx(u_new * v_new, rel=1e-12)
-
-
-def test_fit_stepwise_tracks_pgd_objective():
-    rng = np.random.default_rng(149)
-    r = 2
-    M0 = (rng.normal(size=(30, r)) / np.sqrt(r)) @ rng.normal(size=(30, r)).T
-    M0 *= 1.0 / np.abs(M0).max()
-    dist = make_distribution("uniform", 30, 30)
-    idx = sample_indices(dist, 600, seed=151)
-    obs = observe(M0, idx, NoiseModel(kind="gaussian", sigma=0.1), seed=151)
-    constraints = ConstraintSet(alpha=1.0, radius=np.sqrt(2.0))
-    # tau scales with n here: the gradient carries a 1/n factor.
-    pgd = fit_pgd(obs, constraints,
-                  SolverConfig(k=3, tau=0.5, max_iters=20000, tol=1e-11, seed=7))
-    sw = fit_stepwise(obs, constraints,
-                      SolverConfig(k=3, algorithm="stepwise", epochs=150, seed=7))
-    assert abs(sw.objective_trace[-1] - pgd.objective_trace[-1]) \
-        <= 0.10 * pgd.objective_trace[-1]
-
-
-def test_fit_stepwise_rows_stay_feasible_during_run():
-    rng = np.random.default_rng(157)
-    idx = np.column_stack([rng.integers(0, 8, 60), rng.integers(0, 7, 60)])
-    obs = ObservationSet(d1=8, d2=7, indices=idx, values=2 * rng.normal(size=60))
-    constraints = ConstraintSet(alpha=0.9, radius=1.2)
-    seen = []
-
-    def audit(i, j, u_sq, v_sq):
-        seen.append(max(u_sq, v_sq))
-
-    res = fit_stepwise(obs, constraints,
-                       SolverConfig(k=2, algorithm="stepwise", epochs=5, seed=3),
-                       audit_hook=audit)
-    assert seen and max(seen) <= constraints.radius + 1e-12
-    assert res.feasible_rows and res.feasible_linf
-
-
-def test_fit_stepwise_duplicates_counted_once_per_epoch():
-    # Two draws of the same cell must behave like one pass over the averaged
-    # value, not two gradient steps.
-    constraints = ConstraintSet(alpha=5.0, radius=25.0)
-    cfg = SolverConfig(k=1, tau=0.1, algorithm="stepwise", epochs=1, tol=1e-30, seed=17)
-    dup = ObservationSet(d1=1, d2=1, indices=np.array([[0, 0], [0, 0]]),
-                         values=np.array([1.0, 3.0]))
-    single = ObservationSet(d1=1, d2=1, indices=np.array([[0, 0]]),
-                            values=np.array([2.0]))
-    res_dup = fit_stepwise(dup, constraints, cfg)
-    res_single = fit_stepwise(single, constraints, cfg)
-    assert res_dup.completed[0, 0] == pytest.approx(res_single.completed[0, 0], rel=1e-12)
-
-
-def test_fit_dispatches_on_algorithm():
-    obs = ObservationSet(d1=1, d2=1, indices=np.array([[0, 0]]), values=np.array([0.5]))
-    constraints = ConstraintSet(alpha=1.0, radius=1.0)
-    a = fit(obs, constraints, SolverConfig(k=1, max_iters=50, seed=0))
-    b = fit(obs, constraints, SolverConfig(k=1, algorithm="stepwise", epochs=50, seed=0))
-    assert abs(a.completed[0, 0] - 0.5) < 1e-3
-    assert abs(b.completed[0, 0] - 0.5) < 1e-3
-
-
 def test_default_factor_width():
     assert default_factor_width(10, 20) == 10
     assert default_factor_width(100, 200) == 32
-    assert default_factor_width(100, 200, rank_hint=3) == 4
-    assert default_factor_width(3, 200, rank_hint=7) == 3
 
 
 def test_solver_config_validation():
@@ -317,10 +225,6 @@ def test_solver_config_validation():
         SolverConfig(k=0)
     with pytest.raises(ValidationError):
         SolverConfig(k=1, tau=-0.1)
-    with pytest.raises(ValidationError):
-        SolverConfig(k=1, algorithm="newton")
-    with pytest.raises(ValidationError):
-        SolverConfig(k=1, epochs=0)
 
 
 def test_width_checked_against_dimensions():

@@ -15,7 +15,6 @@ from maxnorm_completion import (
     SolverConfig,
     empirical_loss_and_grad,
     fit_pgd,
-    fit_stepwise,
     init_factors,
     solver,
 )
@@ -63,10 +62,7 @@ def test_first_trace_entry_is_dense_loss_at_start(seed, d1, d2, n, pool, k):
     start = init_factors(d1, d2, k, constraints, seed=seed % 1000)
     expected, _ = empirical_loss_and_grad(start, obs)
     pgd = fit_pgd(obs, constraints, SolverConfig(k=k, max_iters=1, seed=seed % 1000))
-    sw = fit_stepwise(obs, constraints, SolverConfig(k=k, algorithm="stepwise", epochs=1,
-                                                     seed=seed % 1000))
     assert pgd.objective_trace[0] == pytest.approx(expected, rel=1e-12)
-    assert sw.objective_trace[0] == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
