@@ -102,10 +102,10 @@ def make_ground_truth(d1: int, d2: int, rank: int, alpha: float, seed: int) -> n
     M = A @ B.T
     # Iterate the rescale: one pass can land a unit in the last place short.
     for _ in range(4):
-        m = np.abs(M).max()
+        m = max(M.max(), -M.min())
         if m == alpha:
             break
-        M = M * (alpha / m)
+        M *= alpha / m
     return M
 
 

@@ -4,6 +4,10 @@ Indices are drawn i.i.d. with replacement from a distribution over the
 d1 x d2 grid; each draw t observes Y_t = M0[i_t, j_t] + sigma * xi_t with
 fresh unit-variance noise per draw.  Both steps are seeded and reproducible:
 identical seeds give identical index sequences and identical noise.
+
+The index draw is inverse-CDF on the flattened distribution and equals
+numpy's `Generator.choice` with `p` draw for draw; its keys are sorted only
+to speed up the search (see `sample_indices`).
 """
 
 from dataclasses import dataclass
@@ -166,11 +170,33 @@ def _normalized_marginal(m, length: int, name: str) -> np.ndarray:
 
 
 def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. with-replacement index draws, deterministic given seed."""
+    """n i.i.d. with-replacement index draws, deterministic given seed.
+
+    The draw is inverse-CDF on the flattened distribution: n uniforms are
+    located in the normalized cumulative sum of `probs.ravel()`.  It equals
+    `Generator.choice(d1*d2, size=n, p=probs.ravel())` draw for draw: the
+    same uniforms, the same CDF, the same search, no other random numbers.
+    The keys are sorted only for the search (ascending keys keep numpy's
+    binary search in cache); each result goes back to its draw's position.
+    """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    p = dist.probs.ravel()
+    # The checks Generator.choice makes on p.
+    total = p.sum()
+    if np.isnan(total):
+        raise ValidationError("probabilities contain NaN")
+    if (p < 0).any():
+        raise ValidationError("probabilities must be nonnegative")
+    if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        raise ValidationError(f"probabilities must sum to 1, got {total!r}")
     rng = _rng.stream_rng(seed, _rng.SAMPLING)
-    flat = rng.choice(dist.d1 * dist.d2, size=n, p=dist.probs.ravel())
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    order = np.argsort(u)
+    flat = np.empty(n, dtype=np.int64)
+    flat[order] = cdf.searchsorted(u[order], side="right")
     return np.column_stack(np.unravel_index(flat, (dist.d1, dist.d2))).astype(np.int64)
 
 
@@ -203,10 +229,9 @@ def observe(M0, indices, noise: NoiseModel, seed: int) -> ObservationSet:
 # "explicit" + d1 rows of comma-separated probabilities.
 
 def format_observations(obs: ObservationSet) -> str:
-    lines = [f"{obs.d1},{obs.d2},{obs.n}"]
-    for (i, j), y in zip(obs.indices, obs.values):
-        lines.append(f"{i},{j},{y:.17g}")
-    return "\n".join(lines) + "\n"
+    i, j = obs.indices.T
+    body = map("%d,%d,%.17g".__mod__, zip(i.tolist(), j.tolist(), obs.values.tolist()))
+    return f"{obs.d1},{obs.d2},{obs.n}\n" + "\n".join(body) + "\n"
 
 
 def parse_observations(text: str) -> ObservationSet:

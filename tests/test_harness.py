@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from maxnorm_completion import (
     run_experiment,
     write_records_csv,
 )
+from maxnorm_completion import _rng
 from maxnorm_completion.harness import (
     CSV_HEADER,
     format_record,
@@ -57,6 +60,43 @@ def test_make_ground_truth_deterministic():
     assert np.array_equal(a, b)
     c = make_ground_truth(8, 8, 2, 1.0, seed=6)
     assert not np.array_equal(a, c)
+
+
+def _ground_truth_copy_loop(d1, d2, rank, alpha, seed):
+    """The rescale as an `np.abs` max and a fresh copy per pass; returns (M, passes)."""
+    rng = _rng.stream_rng(seed, _rng.GROUND_TRUTH)
+    M = rng.random((d1, rank)) @ rng.random((d2, rank)).T
+    passes = 0
+    for _ in range(4):
+        m = np.abs(M).max()
+        if m == alpha:
+            break
+        M = M * (alpha / m)
+        passes += 1
+    return M, passes
+
+
+def test_make_ground_truth_equals_copy_loop():
+    most_passes = 0
+    for seed in range(6):
+        for d1, d2, rank in [(1, 1, 1), (5, 7, 2), (6, 4, 3), (20, 30, 4)]:
+            for alpha in [0.1, 1 / 3, 0.7, 1.0, 1.7, 3.0]:
+                M = make_ground_truth(d1, d2, rank, alpha, seed)
+                ref, passes = _ground_truth_copy_loop(d1, d2, rank, alpha, seed)
+                assert M.tobytes() == ref.tobytes()
+                most_passes = max(most_passes, passes)
+    assert most_passes >= 3  # the grid reaches cases one or two passes leave short
+
+
+def test_make_ground_truth_rescales_in_place():
+    d = 1000
+    tracemalloc.start()
+    try:
+        M = make_ground_truth(d, d, 5, 1.0, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * M.nbytes
 
 
 def test_make_ground_truth_validation():

@@ -1,5 +1,8 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from maxnorm_completion import (
     NoiseModel,
@@ -7,6 +10,7 @@ from maxnorm_completion import (
     ValidationError,
     make_distribution,
     observe,
+    _rng,
     sample_indices,
 )
 from maxnorm_completion.sampling import (
@@ -89,6 +93,95 @@ def test_sampling_determinism():
     assert not np.array_equal(a, c)
 
 
+def _choice_draws(dist, n, seed):
+    """The draws of `Generator.choice` on the flattened distribution, unravelled."""
+    rng = _rng.stream_rng(seed, _rng.SAMPLING)
+    flat = rng.choice(dist.d1 * dist.d2, size=n, p=dist.probs.ravel())
+    return np.column_stack(np.unravel_index(flat, (dist.d1, dist.d2)))
+
+
+def _point_mass(d1, d2, i, j):
+    probs = np.zeros((d1, d2))
+    probs[i, j] = 1.0
+    return make_distribution("explicit", d1, d2, probs=probs, require_positive=False)
+
+
+_weights = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+
+
+def _weight_lists(size):
+    return st.lists(_weights, min_size=size, max_size=size).filter(lambda v: sum(v) > 0)
+
+
+@st.composite
+def _distributions(draw):
+    """Uniform, product and explicit distributions; the last two with zero cells."""
+    d1, d2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["uniform", "product", "explicit", "point"]))
+    if kind == "uniform":
+        return make_distribution("uniform", d1, d2)
+    if kind == "product":
+        return make_distribution("product", d1, d2, row_marginals=draw(_weight_lists(d1)),
+                                 col_marginals=draw(_weight_lists(d2)),
+                                 require_positive=False)
+    if kind == "point":
+        return _point_mass(d1, d2, draw(st.integers(0, d1 - 1)), draw(st.integers(0, d2 - 1)))
+    probs = np.reshape(draw(_weight_lists(d1 * d2)), (d1, d2))
+    return make_distribution("explicit", d1, d2, probs=probs, require_positive=False)
+
+
+@settings(deadline=None, max_examples=200)
+@given(dist=_distributions(), n=st.integers(1, 300), seed=st.integers(0, 2**63 - 1))
+@example(dist=_point_mass(3, 4, 2, 3), n=1, seed=0)
+@example(dist=make_distribution("uniform", 1, 1), n=1, seed=1)
+def test_sample_indices_equals_generator_choice(dist, n, seed):
+    idx = sample_indices(dist, n, seed)
+    assert idx.dtype == np.int64 and idx.shape == (n, 2)
+    assert np.array_equal(idx, _choice_draws(dist, n, seed))
+    assert (dist.probs[idx[:, 0], idx[:, 1]] > 0).all()  # zero cells are never drawn
+
+
+class _TieGenerator(np.random.Generator):
+    """Uniforms on exact CDF values, 0 and the largest draw, where the search's side shows."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.resize([0.0, 0.25, 0.5, 0.75, 0.2, 0.6, np.nextafter(1.0, 0.0)], size)
+
+
+def test_sample_indices_ties_equal_generator_choice():
+    leading_zeros = np.array([[0.0, 0.25, 0.0, 0.25], [0.0, 0.0, 0.5, 0.0]])
+    dists = [make_distribution("uniform", 2, 2),
+             make_distribution("uniform", 2, 5),  # its unnormalized CDF ends below 1
+             make_distribution("explicit", 2, 4, probs=leading_zeros, require_positive=False),
+             _point_mass(3, 4, 2, 3)]
+    tie_rng = lambda seed, stream: _TieGenerator(np.random.PCG64(seed))
+    with patch.object(_rng, "stream_rng", tie_rng):
+        for dist in dists:
+            idx = sample_indices(dist, 7, seed=0)
+            assert np.array_equal(idx, _choice_draws(dist, 7, seed=0))
+            assert (dist.probs[idx[:, 0], idx[:, 1]] > 0).all()
+
+
+def test_sample_indices_pinned_draws():
+    # Frozen literal: the stream must not change across numpy or package versions.
+    dist = make_distribution("product", 5, 7, row_marginals=[1, 2, 3, 4, 5],
+                             col_marginals=[7, 6, 5, 4, 3, 2, 1])
+    assert sample_indices(dist, 8, seed=2013).tolist() == [
+        [2, 0], [3, 0], [4, 0], [3, 2], [0, 4], [1, 0], [2, 2], [3, 0]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.25, 0.5])
+def test_sample_indices_rechecks_probabilities(bad):
+    dist = make_distribution("uniform", 2, 2)
+    probs = np.full((2, 2), 0.25)
+    probs[0, 0] = bad
+    if bad < 0:
+        probs[0, 1] = 0.75  # a negative cell with the total still 1
+    object.__setattr__(dist, "probs", probs)
+    with pytest.raises(ValidationError):
+        sample_indices(dist, 3, seed=0)
+
+
 def test_empirical_distribution_total_variation():
     rng = np.random.default_rng(5)
     probs = rng.uniform(0.2, 1.0, size=(5, 5))
@@ -169,6 +262,19 @@ def test_observation_format_header():
     assert text.splitlines()[1] == "0,1,0.5"
     with pytest.raises(ValidationError):
         parse_observations("2,2,2\n0,1,0.5\n")
+
+
+def test_observation_format_is_byte_exact():
+    values = [-0.0, 5e-324, 1e300, 2.0 ** 60, -1 / 3, 0.1]
+    idx = np.array([[0, 1], [999_999, 1_000_000], [1_234_567, 7], [3, 2_000_000],
+                    [1_999_999, 0], [5, 5]])
+    obs = ObservationSet(d1=2_000_001, d2=2_000_001, indices=idx, values=np.array(values))
+    old = [f"{obs.d1},{obs.d2},{obs.n}"]
+    old += [f"{i},{j},{y:.17g}" for (i, j), y in zip(obs.indices, obs.values)]
+    text = format_observations(obs)
+    assert text == "\n".join(old) + "\n"
+    assert text.splitlines()[2:4] == ["999999,1000000,4.9406564584124654e-324",
+                                      "1234567,7,1.0000000000000001e+300"]
 
 
 def test_distribution_round_trip(tmp_path):
