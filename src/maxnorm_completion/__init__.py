@@ -37,7 +37,6 @@ from .sampling import (
     save_observations,
 )
 from .solver import (
-    DivergenceError,
     SolveResult,
     SolverConfig,
     default_factor_width,
@@ -49,13 +48,11 @@ from .solver import (
 )
 from .model_select import (
     PartialMatrix,
-    RadiusSweep,
     RankEstimate,
     RankSearchConfig,
     column_mean_init,
     estimate_rank,
     load_rank_report,
-    radius_sweep,
     save_rank_report,
     spectral_magnitude,
 )

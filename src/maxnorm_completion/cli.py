@@ -5,7 +5,7 @@ ground truth and noisy observations, `fit` completes a matrix from an
 observation file, `rank-estimate` runs the spectral rank search,
 `experiment` executes a seeded trial grid from a config file, and
 `theory` exposes the packing / Rademacher / rate tools as key=value
-reports.  Exit codes: 0 success, 1 validation error, 2 divergence.
+reports.  Exit codes: 0 success, 1 validation error.
 """
 
 import argparse
@@ -20,7 +20,8 @@ from .model_select import (PartialMatrix, RankSearchConfig, estimate_rank,
 from .sampling import (NoiseModel, load_distribution, load_observations,
                        make_distribution, observe, sample_indices,
                        save_distribution, save_observations)
-from .solver import DivergenceError, SolverConfig, default_factor_width, fit_pgd
+from .solver import (DEFAULT_MAX_ITERS, DEFAULT_TAU, DEFAULT_TOL, SolverConfig,
+                     default_factor_width, fit_pgd)
 from .theory import (PackingConfig, RateParams, format_report,
                      packing_generate, packing_report_items, packing_verify,
                      rademacher_report_items, rademacher_sign_sup,
@@ -36,13 +37,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _solver_flags(p):
-    p.add_argument("--tau", type=float, default=SolverConfig(k=1).tau, help="step size")
-    p.add_argument("--max-iters", type=int, default=SolverConfig(k=1).max_iters)
-    p.add_argument("--tol", type=float, default=SolverConfig(k=1).tol,
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU, help="step size")
+    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="relative objective-change stop")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-backtrack", action="store_true",
-                   help="disable step halving on objective increase")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,7 +147,7 @@ def _cmd_simulate(args) -> int:
 
 def _solver_config(args, k) -> SolverConfig:
     return SolverConfig(k=k, tau=args.tau, max_iters=args.max_iters, tol=args.tol,
-                        seed=args.seed, backtrack=not args.no_backtrack)
+                        seed=args.seed)
 
 
 def _cmd_fit(args) -> int:
@@ -227,9 +226,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValidationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

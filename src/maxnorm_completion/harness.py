@@ -17,7 +17,7 @@ import numpy as np
 from . import _rng
 from .core import ConstraintSet, ValidationError, check_matrix, pi_weighted_sq_norm
 from .sampling import NoiseModel, SamplingDistribution, make_distribution, observe, sample_indices
-from .solver import DivergenceError, SolverConfig, fit_pgd
+from .solver import DEFAULT_MAX_ITERS, DEFAULT_TAU, DEFAULT_TOL, SolverConfig, fit_pgd
 
 CSV_HEADER = ("n,replicate,seed,per_entry_mse,pi_weighted_mse,runtime_ms,"
               "iterations,feasible_rows,feasible_linf,status")
@@ -39,8 +39,7 @@ class ExperimentConfig:
     solver: SolverConfig
     base_seed: int = 0
     constraint_alpha: float | None = None  # None: use the ground truth's alpha
-    radius_rule: str = RADIUS_RULE_SQRT_RANK
-    radius: float | None = None  # explicit radius when radius_rule == "fixed"
+    radius: float | None = None  # None: the constraint alpha * sqrt(rank)
     output_path: str | None = None
 
     def __post_init__(self):
@@ -55,20 +54,15 @@ class ExperimentConfig:
             raise ValidationError("sample sizes must be positive")
         if self.replicates < 1:
             raise ValidationError(f"replicates must be >= 1, got {self.replicates}")
-        if self.radius_rule not in (RADIUS_RULE_SQRT_RANK, "fixed"):
-            raise ValidationError(f"unknown radius rule {self.radius_rule!r}")
-        if self.radius_rule == "fixed" and not (self.radius and self.radius > 0):
-            raise ValidationError("fixed radius rule requires a positive radius")
+        if self.radius is not None and not self.radius > 0:
+            raise ValidationError(f"radius must be positive, got {self.radius}")
         if (self.distribution.d1, self.distribution.d2) != (self.d1, self.d2):
             raise ValidationError("sampling distribution shape does not match the grid")
         object.__setattr__(self, "n_grid", grid)
 
     def constraints(self) -> ConstraintSet:
         alpha = self.alpha if self.constraint_alpha is None else self.constraint_alpha
-        if self.radius_rule == RADIUS_RULE_SQRT_RANK:
-            radius = alpha * float(np.sqrt(self.rank))
-        else:
-            radius = self.radius
+        radius = alpha * float(np.sqrt(self.rank)) if self.radius is None else self.radius
         return ConstraintSet(alpha=alpha, radius=radius)
 
 
@@ -83,7 +77,7 @@ class TrialRecord:
     iterations: int
     feasible_rows: bool
     feasible_linf: bool
-    status: str  # "ok" | "diverged"
+    status: str  # "ok"; files written by older versions may also hold "diverged"
 
 
 def make_ground_truth(d1: int, d2: int, rank: int, alpha: float, seed: int) -> np.ndarray:
@@ -118,18 +112,8 @@ def run_trial(M0, distribution, noise, constraints, solver_cfg, n, seed,
     idx = sample_indices(distribution, n, seed)
     obs = observe(M0, idx, noise, seed)
     start = clock()
-    try:
-        result = fit_pgd(obs, constraints, replace(solver_cfg, seed=seed))
-        status = "ok"
-    except DivergenceError:
-        result = None
-        status = "diverged"
+    result = fit_pgd(obs, constraints, replace(solver_cfg, seed=seed))
     runtime_ms = (clock() - start) * 1000.0
-    if result is None:
-        return TrialRecord(n=n, replicate=-1, seed=seed, per_entry_mse=float("nan"),
-                           pi_weighted_mse=float("nan"), runtime_ms=runtime_ms,
-                           iterations=0, feasible_rows=False, feasible_linf=False,
-                           status=status)
     delta = result.completed - M0
     per_entry = float((delta * delta).sum()) / (M0.shape[0] * M0.shape[1])
     weighted = pi_weighted_sq_norm(delta, distribution)
@@ -137,15 +121,14 @@ def run_trial(M0, distribution, noise, constraints, solver_cfg, n, seed,
                        pi_weighted_mse=weighted, runtime_ms=runtime_ms,
                        iterations=result.iterations_run,
                        feasible_rows=result.feasible_rows,
-                       feasible_linf=result.feasible_linf, status=status)
+                       feasible_linf=result.feasible_linf, status="ok")
 
 
 def run_experiment(cfg: ExperimentConfig, clock=None) -> list:
     """All (n, replicate) trials, in canonical order, persisted incrementally.
 
-    A diverged trial is recorded with status "diverged" and NaN losses; the
-    run continues.  With cfg.output_path set, rows are appended to the CSV
-    as they finish.
+    With cfg.output_path set, rows are appended to the CSV as they finish.
+    `clock` replaces time.perf_counter for the runtime column.
     """
     M0 = make_ground_truth(cfg.d1, cfg.d2, cfg.rank, cfg.alpha, cfg.truth_seed)
     constraints = cfg.constraints()
@@ -261,7 +244,6 @@ _KNOWN_KEYS = {
     "grid.n", "grid.replicates",
     "constraints.alpha", "constraints.radius_rule",
     "solver.k", "solver.tau", "solver.max_iters", "solver.tol",
-    "solver.backtrack",
     "experiment.seed", "output.path",
 }
 
@@ -281,8 +263,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
       constraints.radius_rule = alpha_sqrt_rank (alpha * sqrt(truth.rank)),
           or a number: a fixed radius
       solver.k = auto, meaning truth.rank + 1; solver.tau = 0.1;
-          solver.max_iters = 5000; solver.tol = 1e-7; solver.backtrack = true
-          (only "false", in any case, turns it off)
+          solver.max_iters = 5000; solver.tol = 1e-7
       experiment.seed = 0; output.path: unset, else the records CSV is written there
     """
     kv = {}
@@ -331,26 +312,22 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if kv.get("constraints.alpha", "auto") != "auto":
         constraint_alpha = float(kv["constraints.alpha"])
     rule_text = kv.get("constraints.radius_rule", RADIUS_RULE_SQRT_RANK)
-    if rule_text == RADIUS_RULE_SQRT_RANK:
-        radius_rule, radius = RADIUS_RULE_SQRT_RANK, None
-    else:
-        radius_rule, radius = "fixed", float(rule_text)
+    radius = None if rule_text == RADIUS_RULE_SQRT_RANK else float(rule_text)
 
     k_text = kv.get("solver.k", "auto")
     k = rank + 1 if k_text == "auto" else int(k_text)
     solver = SolverConfig(
         k=k,
-        tau=float(kv.get("solver.tau", str(SolverConfig(k=1).tau))),
-        max_iters=int(kv.get("solver.max_iters", str(SolverConfig(k=1).max_iters))),
-        tol=float(kv.get("solver.tol", str(SolverConfig(k=1).tol))),
-        backtrack=kv.get("solver.backtrack", "true").lower() != "false",
+        tau=float(kv.get("solver.tau", DEFAULT_TAU)),
+        max_iters=int(kv.get("solver.max_iters", DEFAULT_MAX_ITERS)),
+        tol=float(kv.get("solver.tol", DEFAULT_TOL)),
     )
 
     return ExperimentConfig(
         d1=d1, d2=d2, rank=rank, alpha=alpha, truth_seed=truth_seed,
         distribution=dist, noise=noise, n_grid=n_grid, replicates=replicates,
         solver=solver, base_seed=int(kv.get("experiment.seed", "0")),
-        constraint_alpha=constraint_alpha, radius_rule=radius_rule, radius=radius,
+        constraint_alpha=constraint_alpha, radius=radius,
         output_path=kv.get("output.path"),
     )
 

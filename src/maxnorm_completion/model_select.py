@@ -5,9 +5,7 @@ magnitude profiles of that initial fill, then for each candidate rank r
 solves the constrained completion with radius alpha0 * sqrt(r) and scores
 the completion by the Frobenius distance between its profile and the
 initial one.  The r minimizing that distance is returned (smallest r on
-ties).  radius_sweep scores radii the same way.  Both build a list of
-candidates, (label, constraints, solver config), and run it through one
-search loop.
+ties).
 """
 
 from dataclasses import dataclass, replace
@@ -17,7 +15,7 @@ import numpy as np
 from .core import ConstraintSet, ValidationError, check_matrix, _frozen, format_dense, parse_dense
 from .sampling import ObservationSet
 # Named `fit` here: bench/workloads.py::_fit_log patches model_select.fit to count candidate fits.
-from .solver import DivergenceError, SolverConfig, _dedupe_observations, fit_pgd as fit
+from .solver import SolverConfig, _dedupe_observations, fit_pgd as fit
 
 
 @dataclass(frozen=True)
@@ -84,21 +82,10 @@ class RankEstimate:
     errors: tuple  # ((r, e_r), ...) for r = 2..r_max
     chosen: np.ndarray  # completion at r_star
     profile_init: np.ndarray  # magnitude profile of the column-mean fill
-    profiles: dict | None = None  # optional per-r profiles
 
     def __post_init__(self):
         object.__setattr__(self, "chosen", _frozen(self.chosen))
         object.__setattr__(self, "profile_init", _frozen(self.profile_init))
-
-
-@dataclass(frozen=True)
-class RadiusSweep:
-    radius_star: float
-    errors: tuple  # ((radius, e), ...)
-    chosen: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "chosen", _frozen(self.chosen))
 
 
 def column_mean_init(P: PartialMatrix) -> np.ndarray:
@@ -130,79 +117,32 @@ def profile_distance(F, F_r) -> float:
     return float(np.linalg.norm(F - F_r))
 
 
-def estimate_rank(P: PartialMatrix, cfg: RankSearchConfig,
-                  keep_profiles: bool = False) -> RankEstimate:
+def estimate_rank(P: PartialMatrix, cfg: RankSearchConfig) -> RankEstimate:
     """Search r = 2..r_max for the completion whose spectral profile moves least.
 
     Each candidate solves the constrained completion cold-started with
-    alpha = alpha0, radius = alpha0 * sqrt(r), factor width r + 1.  A solve
-    that diverges scores infinity and the search continues; if every solve
-    diverges the search itself fails.
+    alpha = alpha0, radius = alpha0 * sqrt(r), factor width r + 1.
     """
     if cfg.r_max > min(P.d1, P.d2):
         raise ValidationError(
             f"r_max={cfg.r_max} exceeds min(d1, d2) = {min(P.d1, P.d2)}"
         )
-    candidates = [(r, ConstraintSet(alpha=cfg.alpha0, radius=cfg.alpha0 * np.sqrt(r)),
-                   replace(cfg.solver, k=r + 1)) for r in range(2, cfg.r_max + 1)]
-    errors, r_star, chosen, profile0, profiles = _search(P, candidates, keep_profiles)
-    return RankEstimate(r_star=r_star, errors=errors, chosen=chosen,
-                        profile_init=profile0, profiles=profiles)
-
-
-def radius_sweep(P: PartialMatrix, cfg: RankSearchConfig, delta: float | None = None,
-                 radius_max: float | None = None) -> RadiusSweep:
-    """Search over the radius instead: alpha0*sqrt(2), += delta, up to radius_max.
-
-    Default step is alpha0 * (sqrt(2) - 1); default cap alpha0 * sqrt(r_max).
-    The solver template's factor width is used as-is.  Divergence is scored
-    as in estimate_rank.
-    """
-    if delta is None:
-        delta = cfg.alpha0 * (np.sqrt(2.0) - 1.0)
-    if not delta > 0:
-        raise ValidationError(f"delta must be positive, got {delta}")
-    if radius_max is None:
-        radius_max = cfg.alpha0 * np.sqrt(cfg.r_max)
-    candidates = []
-    radius = cfg.alpha0 * np.sqrt(2.0)
-    while radius <= radius_max + 1e-12:
-        candidates.append((radius, ConstraintSet(alpha=cfg.alpha0, radius=radius), cfg.solver))
-        radius += delta
-    errors, radius_star, chosen, _, _ = _search(P, candidates)
-    return RadiusSweep(radius_star=radius_star, errors=errors, chosen=chosen)
-
-
-def _search(P: PartialMatrix, candidates, keep_profiles: bool = False):
-    """Fit each (label, constraints, solver config) candidate in order.
-
-    Each completion is scored by the distance of its spectral profile from
-    the column-mean fill's; a diverged fit scores infinity.  Returns
-    (((label, error), ...), best label, its completion, the initial profile,
-    {label: profile} or None); ties go to the earliest candidate.
-    """
     obs = P.to_observations()
     profile0 = spectral_magnitude(column_mean_init(P))
     errors = []
-    profiles = {} if keep_profiles else None
-    best = None  # (error, label, completion)
-    for label, constraints, solver_cfg in candidates:
-        try:
-            result = fit(obs, constraints, solver_cfg)
-        except DivergenceError:
-            errors.append((label, float("inf")))
-            continue
-        profile = spectral_magnitude(result.completed)
-        e = profile_distance(profile0, profile)
-        errors.append((label, e))
-        if profiles is not None:
-            profiles[label] = profile
+    best = None  # (error, r, completion)
+    for r in range(2, cfg.r_max + 1):
+        result = fit(obs, ConstraintSet(alpha=cfg.alpha0, radius=cfg.alpha0 * np.sqrt(r)),
+                     replace(cfg.solver, k=r + 1))
+        e = profile_distance(profile0, spectral_magnitude(result.completed))
+        errors.append((r, e))
         if best is None or e < best[0]:
-            best = (e, label, result.completed)
-    if best is None:
-        raise DivergenceError(iteration=len(errors),
-                              message="every candidate diverged in the search")
-    return tuple(errors), best[1], best[2], profile0, profiles
+            best = (e, r, result.completed)
+    # Free these before RankEstimate copies two d1 x d2 arrays, so the copies
+    # can reuse their memory instead of growing the heap.
+    del obs, result
+    return RankEstimate(r_star=best[1], errors=tuple(errors), chosen=best[2],
+                        profile_init=profile0)
 
 
 # ---------------------------------------------------------------------------

@@ -48,14 +48,9 @@ FEASIBILITY_SLACK = 1e-9
 LINF_BLOCK_CELLS = 1 << 20
 
 
+# Nothing in the package raises this; bench/workloads.py still catches it.
 class DivergenceError(RuntimeError):
     """Objective became non-finite (step size too large for the instance)."""
-
-    def __init__(self, iteration: int, message: str | None = None):
-        self.iteration = iteration
-        if message is None:
-            message = f"pgd diverged at iteration {iteration}: objective is non-finite"
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -65,7 +60,6 @@ class SolverConfig:
     max_iters: int = DEFAULT_MAX_ITERS
     tol: float = DEFAULT_TOL
     seed: int = 0
-    backtrack: bool = True  # halve tau on objective increase
 
     def __post_init__(self):
         if self.k < 1:
@@ -143,11 +137,13 @@ def _dedupe_observations(obs: ObservationSet) -> _Cells:
     uniq, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
     means = np.bincount(inverse, weights=obs.values) / counts
     dev = obs.values - means[inverse]
+    with np.errstate(over="ignore"):  # an overflow here is reported by fit_pgd
+        ss_within = float(dev @ dev)
     rows, cols = np.divmod(uniq, obs.d2)
     row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
     return _Cells(rows=rows, cols=cols, row_starts=row_starts,
                   counts=counts.astype(np.float64), means=means,
-                  ss_within=float(dev @ dev), n=obs.n)
+                  ss_within=ss_within, n=obs.n)
 
 
 def _cell_loss(cells: _Cells, U, V):
@@ -189,7 +185,7 @@ def project_factor_rows(U, radius: float) -> np.ndarray:
 
 
 def _project_rows_inplace(A, radius):
-    # Non-finite rows pass through untouched; divergence shows up in the loss.
+    # Non-finite rows pass through untouched; fit_pgd rejects the step by its loss.
     sq = np.einsum("ij,ij->i", A, A)
     over = sq > radius
     if over.any():
@@ -289,10 +285,13 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
 
     Each iteration: simultaneous step (U - tau*G@V, V - tau*G.T@U) from the
     pre-step factors, global elementwise rescale, then row projection of both
-    factors.  With backtracking enabled the step is halved (at most
-    MAX_HALVINGS times) whenever the objective would increase; if no step
-    helps, the iterate is kept and the solve stops.  The accepted trial's
-    cell residuals give the next gradient.
+    factors.  The step is halved (at most MAX_HALVINGS times) whenever the
+    objective would increase or turn non-finite; if no step helps, the
+    iterate is kept and the solve stops.  The accepted trial's cell residuals
+    give the next gradient.
+
+    Raises ValidationError when the loss at the start is not finite, as when
+    the observed values are so large that their squares overflow.
     """
     if cfg.k > obs.d1 + obs.d2:
         raise ValidationError(f"k={cfg.k} exceeds d1 + d2 = {obs.d1 + obs.d2}")
@@ -300,10 +299,13 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
     cells = _dedupe_observations(obs)
     F0 = init_factors(obs.d1, obs.d2, cfg.k, constraints, cfg.seed)
     U, V = F0.U, F0.V
-    loss, w = _cell_loss(cells, U, V)
-    trace = [loss]
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        loss, w = _cell_loss(cells, U, V)
+        if not np.isfinite(loss):
+            raise ValidationError("the empirical loss at the start is not finite; "
+                                  "the observed values are too large in magnitude")
+        trace = [loss]
         for it in range(1, cfg.max_iters + 1):
             GV, GtU = _cell_grad_products(cells, w, U, V)
             tau = cfg.tau
@@ -315,12 +317,10 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
                 Un = _project_rows_inplace(Un, radius)
                 Vn = _project_rows_inplace(Vn, radius)
                 new_loss, new_w = _cell_loss(cells, Un, Vn)
-                if np.isfinite(new_loss) and (not cfg.backtrack
-                                              or new_loss <= loss * (1 + 1e-12)):
+                # False for NaN and inf, so every accepted loss is finite.
+                if new_loss <= loss * (1 + 1e-12):
                     accepted = (Un, Vn, new_loss, new_w)
                     break
-                if not cfg.backtrack:
-                    raise DivergenceError(iteration=it)
                 tau *= 0.5
             if accepted is None:
                 break  # no admissible step; current iterate is the answer

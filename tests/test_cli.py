@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maxnorm_completion import load_dense, load_observations
+from maxnorm_completion import ObservationSet, load_dense, load_observations, save_observations
 from maxnorm_completion.cli import main
 from maxnorm_completion.model_select import load_rank_report
 
@@ -63,13 +63,15 @@ def test_fit_trace_output(tmp_path):
     assert len(values) >= 2
 
 
-def test_fit_divergence_exit_code(tmp_path):
-    _, obs_path = _simulate(tmp_path, n=50, noise="none", sigma=0.0)
-    code = main(["fit", "--obs", str(obs_path), "--alpha", "1e8",
-                 "--radius", "1e16", "--k", "2", "--tau", "1e300",
-                 "--no-backtrack", "--max-iters", "20",
-                 "--out", str(tmp_path / "x.dense")])
-    assert code == 2
+@pytest.mark.parametrize("values", [[1e200, -3e200, 2e200], [1e200] * 3])
+def test_fit_overflowing_loss_exits_one(tmp_path, values):
+    obs = ObservationSet(d1=2, d2=2, indices=np.array([[0, 0], [0, 1], [1, 1]]),
+                         values=np.array(values))
+    save_observations(tmp_path / "obs.txt", obs)
+    out = tmp_path / "x.dense"
+    assert main(["fit", "--obs", str(tmp_path / "obs.txt"), "--alpha", "1",
+                 "--radius", "1", "--k", "2", "--max-iters", "5", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_validation_errors_exit_one(tmp_path):
@@ -89,6 +91,11 @@ def test_validation_errors_exit_one(tmp_path):
     # rank-estimate sets each candidate's factor width itself: --k is no flag there
     assert main(["rank-estimate", "--obs", str(obs_path), "--r-max", "3", "--k", "3",
                  "--out", str(tmp_path / "o")]) == 1
+    # step halving is always on: --no-backtrack is no flag
+    assert main(["fit", "--obs", str(obs_path), "--alpha", "1", "--radius", "1",
+                 "--no-backtrack", "--out", str(tmp_path / "o")]) == 1
+    assert main(["rank-estimate", "--obs", str(obs_path), "--r-max", "3",
+                 "--no-backtrack", "--out", str(tmp_path / "o")]) == 1
 
 
 def test_rank_estimate_report(tmp_path):

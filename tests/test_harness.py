@@ -276,7 +276,7 @@ def test_parse_config_rejects_unknown_and_duplicate_keys():
         parse_config_text(CONFIG_TEXT + "\ntruth.d1 = 9\n")
     with pytest.raises(ValidationError):
         parse_config_text("truth.d1 = 4\n")  # missing required keys
-    for removed in ("solver.algorithm = pgd", "solver.epochs = 5"):
+    for removed in ("solver.algorithm = pgd", "solver.epochs = 5", "solver.backtrack = false"):
         with pytest.raises(ValidationError, match="unknown key"):
             parse_config_text(CONFIG_TEXT + removed + "\n")
 
@@ -286,6 +286,10 @@ def test_fixed_radius_rule():
         "constraints.radius_rule = alpha_sqrt_rank",
         "constraints.radius_rule = 2.5"))
     assert cfg.constraints().radius == 2.5
+    with pytest.raises(ValidationError, match="radius must be positive"):
+        parse_config_text(CONFIG_TEXT.replace(
+            "constraints.radius_rule = alpha_sqrt_rank",
+            "constraints.radius_rule = 0"))
 
 
 def test_load_config(tmp_path):
