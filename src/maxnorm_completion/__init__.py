@@ -80,7 +80,6 @@ from .harness import (
     read_records_csv,
     run_experiment,
     run_trial,
-    write_records_csv,
 )
 
 __version__ = "0.1.0"

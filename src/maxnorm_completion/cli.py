@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .core import ConstraintSet, ValidationError, load_dense, save_dense
+from .core import ConstraintSet, ValidationError, save_dense
 from .harness import fit_scaling_slope, load_config, run_experiment
 from .model_select import (PartialMatrix, RankSearchConfig, estimate_rank,
                            save_rank_report)

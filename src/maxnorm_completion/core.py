@@ -119,19 +119,17 @@ class FactorNormReport:
     max_norm_upper: float
 
 
-def matrix_norms(M, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> NormReport:
+def matrix_norms(M) -> NormReport:
     """Frobenius, elementwise max, trace norm and numeric rank of M.
 
     The trace norm is the sum of singular values from a full SVD (matrices
-    here are desk-scale).  Singular values below rank_tolerance * sigma_max
-    count as zero for the numeric rank.
+    here are desk-scale).  Singular values below
+    DEFAULT_RANK_TOLERANCE * sigma_max count as zero for the numeric rank.
     """
     A = check_matrix(M)
-    if not rank_tolerance > 0:
-        raise ValidationError(f"rank_tolerance must be positive, got {rank_tolerance}")
     s = np.linalg.svd(A, compute_uv=False)
     smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > rank_tolerance * smax)) if smax > 0 else 0
+    rank = int(np.count_nonzero(s > DEFAULT_RANK_TOLERANCE * smax)) if smax > 0 else 0
     return NormReport(
         frobenius=float(np.linalg.norm(A)),
         linf=float(np.abs(A).max()),
@@ -173,9 +171,27 @@ def pi_weighted_sq_norm(M, distribution) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Text formats.  Every reader parses its numeric lines, headers included,
+# with numpy (`_parse_rows`).  A malformed line -- a token that is not a
+# number of its column's type, a row of the wrong width, a "#" comment -- or
+# a missing one raises ValidationError naming the format.  Blank lines are
+# skipped.
+#
 # Dense matrix interchange format: first line "d1,d2", then d1 lines of d2
 # comma-separated decimals.  Values survive a round trip (17 significant
 # digits covers IEEE doubles exactly).
+
+def _parse_rows(lines, dtype, what: str) -> np.ndarray:
+    """Nonblank comma-separated lines as one record (structured dtype) or row each."""
+    if not lines:
+        raise ValidationError(f"missing {what}")
+    dtype = np.dtype(dtype)
+    try:
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                          ndmin=1 if dtype.names else 2)
+    except ValueError as exc:
+        raise ValidationError(f"bad {what}: {exc}") from exc
+
 
 def format_dense(M) -> str:
     A = check_matrix(M)
@@ -189,21 +205,13 @@ def format_dense(M) -> str:
 
 def parse_dense(text: str) -> np.ndarray:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValidationError("empty dense matrix text")
-    try:
-        d1, d2 = (int(tok) for tok in lines[0].split(","))
-    except ValueError as exc:
-        raise ValidationError(f"bad dense matrix header {lines[0]!r}") from exc
+    d1, d2 = _parse_rows(lines[:1], "i8,i8", "dense matrix header")[0].tolist()
     if len(lines) != 1 + d1:
-        raise ValidationError(f"expected {d1} rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        row = [float(tok) for tok in ln.split(",")]
-        if len(row) != d2:
-            raise ValidationError(f"expected {d2} columns, found {len(row)}")
-        rows.append(row)
-    return check_matrix(np.array(rows, dtype=np.float64))
+        raise ValidationError(f"expected {d1} dense matrix rows, found {len(lines) - 1}")
+    A = _parse_rows(lines[1:], np.float64, "dense matrix row")
+    if A.shape[1] != d2:
+        raise ValidationError(f"expected {d2} dense matrix columns, found {A.shape[1]}")
+    return check_matrix(A)
 
 
 def save_dense(path, M) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _rng
-from .core import ConstraintSet, ValidationError, check_matrix, pi_weighted_sq_norm
+from .core import ConstraintSet, ValidationError, _parse_rows, check_matrix, pi_weighted_sq_norm
 from .sampling import NoiseModel, SamplingDistribution, make_distribution, observe, sample_indices
 from .solver import DEFAULT_MAX_ITERS, DEFAULT_TAU, DEFAULT_TOL, SolverConfig, fit_pgd
 
@@ -165,30 +165,18 @@ def format_record(rec: TrialRecord) -> str:
     ])
 
 
-def write_records_csv(path, records) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(format_record(rec) + "\n")
-
-
 def read_records_csv(path) -> list:
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError(f"bad records CSV header in {path}")
-    records = []
-    for ln in lines[1:]:
-        toks = ln.split(",")
-        if len(toks) != 10:
-            raise ValidationError(f"bad record line {ln!r}")
-        records.append(TrialRecord(
-            n=int(toks[0]), replicate=int(toks[1]), seed=int(toks[2]),
-            per_entry_mse=float(toks[3]), pi_weighted_mse=float(toks[4]),
-            runtime_ms=float(toks[5]), iterations=int(toks[6]),
-            feasible_rows=toks[7] == "true", feasible_linf=toks[8] == "true",
-            status=toks[9]))
-    return records
+    if len(lines) == 1:
+        return []  # a run that has not finished a trial yet
+    # The columns of CSV_HEADER; the two feasibility flags and the status stay strings.
+    rows = _parse_rows(lines[1:], "i8,i8,i8,f8,f8,f8,i8,O,O,O", "records CSV row")
+    return [TrialRecord(*row[:7], feasible_rows=row[7] == "true",
+                        feasible_linf=row[8] == "true", status=row[9])
+            for row in rows.tolist()]
 
 
 @dataclass(frozen=True)

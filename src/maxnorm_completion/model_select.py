@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ConstraintSet, ValidationError, check_matrix, _frozen, format_dense, parse_dense
+from .core import (ConstraintSet, ValidationError, check_matrix, _frozen, _parse_rows,
+                   format_dense, parse_dense)
 from .sampling import ObservationSet
 # Named `fit` here: bench/workloads.py::_fit_log patches model_select.fit to count candidate fits.
 from .solver import SolverConfig, _dedupe_observations, fit_pgd as fit
@@ -96,9 +97,13 @@ def column_mean_init(P: PartialMatrix) -> np.ndarray:
     if P.observed_count == 0:
         raise ValidationError("cannot column-mean fill a matrix with no observations")
     counts = P.mask.sum(axis=0)
-    sums = P.values.sum(axis=0)
-    global_mean = P.values[P.mask].mean()
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        sums = P.values.sum(axis=0)
+        global_mean = P.values[P.mask].mean()
     col_means = np.where(counts > 0, sums / np.maximum(counts, 1), global_mean)
+    if not np.isfinite(col_means).all():
+        raise ValidationError("a column mean is not finite; "
+                              "the observed values are too large in magnitude")
     return np.where(P.mask, P.values, col_means[None, :])
 
 
@@ -156,23 +161,16 @@ def format_rank_report(est: RankEstimate) -> str:
 
 
 def parse_rank_report(text: str):
-    """Returns (errors, r_star, completion)."""
-    lines = text.splitlines()
-    errors = []
-    pos = 0
-    for ln in lines:
-        toks = ln.split(",")
-        if len(toks) == 2 and "." not in toks[0]:
-            try:
-                errors.append((int(toks[0]), float(toks[1])))
-                pos += 1
-                continue
-            except ValueError:
-                pass
-        break
-    if pos >= len(lines):
+    """Returns (errors, r_star, completion).
+
+    The chosen-rank line is the first line without a comma.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    pos = next((t for t, ln in enumerate(lines) if "," not in ln), None)
+    if pos is None:
         raise ValidationError("rank report missing chosen-rank line")
-    r_star = int(lines[pos])
+    errors = _parse_rows(lines[:pos], "i8,f8", "rank report error row").tolist()
+    r_star = int(_parse_rows(lines[pos:pos + 1], np.int64, "rank report chosen-rank line")[0, 0])
     completion = parse_dense("\n".join(lines[pos + 1:]))
     return errors, r_star, completion
 

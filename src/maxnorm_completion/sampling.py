@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .core import ValidationError, check_matrix, _frozen
+from .core import ValidationError, check_matrix, _frozen, _parse_rows
 
 PROB_SUM_TOL = 1e-9
 
@@ -222,11 +222,17 @@ def observe(M0, indices, noise: NoiseModel, seed: int) -> ObservationSet:
 
 
 # ---------------------------------------------------------------------------
-# File formats.
+# File formats.  numpy parses the numeric lines (`core._parse_rows`); a
+# malformed row -- an index that is not an integer, a value that is not a
+# number, a row of the wrong width, a "#" comment -- raises ValidationError
+# naming the format.
 #
 # Observations: header "d1,d2,n", then n lines "i,j,y" (0-based indices).
 # Distribution: "d1,d2", then "uniform" | "product" + two marginal lines |
 # "explicit" + d1 rows of comma-separated probabilities.
+
+_OBSERVATION_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("y", np.float64)])
+
 
 def format_observations(obs: ObservationSet) -> str:
     i, j = obs.indices.T
@@ -236,24 +242,13 @@ def format_observations(obs: ObservationSet) -> str:
 
 def parse_observations(text: str) -> ObservationSet:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValidationError("empty observation text")
-    try:
-        d1, d2, n = (int(tok) for tok in lines[0].split(","))
-    except ValueError as exc:
-        raise ValidationError(f"bad observation header {lines[0]!r}") from exc
+    d1, d2, n = _parse_rows(lines[:1], "i8,i8,i8", "observation header")[0].tolist()
     if len(lines) != 1 + n:
         raise ValidationError(f"expected {n} observations, found {len(lines) - 1}")
-    idx = np.empty((n, 2), dtype=np.int64)
-    vals = np.empty(n)
-    for t, ln in enumerate(lines[1:]):
-        toks = ln.split(",")
-        if len(toks) != 3:
-            raise ValidationError(f"bad observation line {ln!r}")
-        idx[t, 0] = int(toks[0])
-        idx[t, 1] = int(toks[1])
-        vals[t] = float(toks[2])
-    return ObservationSet(d1=d1, d2=d2, indices=idx, values=vals)
+    rows = _parse_rows(lines[1:], _OBSERVATION_ROW, "observation row")
+    del lines  # before the index and value copies, which would otherwise raise the peak
+    return ObservationSet(d1=d1, d2=d2, indices=np.column_stack([rows["i"], rows["j"]]),
+                          values=rows["y"])
 
 
 def save_observations(path, obs: ObservationSet) -> None:
@@ -287,23 +282,20 @@ def parse_distribution(text: str) -> SamplingDistribution:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ValidationError("distribution text needs a header and a kind line")
-    try:
-        d1, d2 = (int(tok) for tok in lines[0].split(","))
-    except ValueError as exc:
-        raise ValidationError(f"bad distribution header {lines[0]!r}") from exc
+    d1, d2 = _parse_rows(lines[:1], "i8,i8", "distribution header")[0].tolist()
     kind = lines[1]
     if kind == "uniform":
         return make_distribution("uniform", d1, d2)
     if kind == "product":
         if len(lines) != 4:
             raise ValidationError("product distribution needs two marginal lines")
-        row = [float(tok) for tok in lines[2].split(",")]
-        col = [float(tok) for tok in lines[3].split(",")]
+        row = _parse_rows(lines[2:3], np.float64, "product row marginal")[0]
+        col = _parse_rows(lines[3:4], np.float64, "product column marginal")[0]
         return make_distribution("product", d1, d2, row_marginals=row, col_marginals=col)
     if kind == "explicit":
         if len(lines) != 2 + d1:
             raise ValidationError(f"explicit distribution needs {d1} probability rows")
-        probs = [[float(tok) for tok in ln.split(",")] for ln in lines[2:]]
+        probs = _parse_rows(lines[2:], np.float64, "explicit distribution row")
         return make_distribution("explicit", d1, d2, probs=probs)
     raise ValidationError(f"unknown distribution kind {kind!r}")
 

@@ -135,9 +135,13 @@ def _dedupe_observations(obs: ObservationSet) -> _Cells:
     """
     flat = obs.indices[:, 0] * obs.d2 + obs.indices[:, 1]
     uniq, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
-    means = np.bincount(inverse, weights=obs.values) / counts
-    dev = obs.values - means[inverse]
-    with np.errstate(over="ignore"):  # an overflow here is reported by fit_pgd
+    # Overflows: the means' are reported here, ss_within's by fit_pgd.
+    with np.errstate(over="ignore"):
+        means = np.bincount(inverse, weights=obs.values) / counts
+        if not np.isfinite(means).all():
+            raise ValidationError("the mean of an observed cell is not finite; "
+                                  "the observed values are too large in magnitude")
+        dev = obs.values - means[inverse]
         ss_within = float(dev @ dev)
     rows, cols = np.divmod(uniq, obs.d2)
     row_starts = np.flatnonzero(np.diff(rows, prepend=-1))

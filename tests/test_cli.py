@@ -74,6 +74,23 @@ def test_fit_overflowing_loss_exits_one(tmp_path, values):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cells", [
+    # column 0's sum overflows in the column-mean fill
+    [((0, 0), 1e308), ((1, 0), 1e308), ((2, 0), 5e307), ((3, 1), -1e200)],
+    # the mean of two draws of one cell overflows
+    [((0, 0), 1e308), ((0, 0), 1e308), ((1, 1), -1e200)],
+])
+def test_rank_estimate_overflowing_values_exit_one(tmp_path, capsys, cells):
+    idx, values = zip(*cells)
+    save_observations(tmp_path / "obs.txt", ObservationSet(d1=4, d2=4, indices=np.array(idx),
+                                                           values=np.array(values)))
+    out = tmp_path / "rank.report"
+    assert main(["rank-estimate", "--obs", str(tmp_path / "obs.txt"), "--r-max", "2",
+                 "--out", str(out)]) == 1
+    assert "too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validation_errors_exit_one(tmp_path):
     # unknown flag
     assert main(["fit", "--obs", "nope.txt", "--alpha", "1", "--radius", "1",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from maxnorm_completion import (
     ConstraintSet,
@@ -48,11 +49,6 @@ def test_non_finite_entries_rejected():
         matrix_norms(M)
     with pytest.raises(ValidationError):
         Factorization(U=np.array([[np.inf]]), V=np.array([[1.0]]))
-
-
-def test_rank_tolerance_validation():
-    with pytest.raises(ValidationError):
-        matrix_norms(np.eye(2), rank_tolerance=0.0)
 
 
 def test_factor_norms_all_ones_column():
@@ -175,3 +171,32 @@ def test_parse_dense_rejects_bad_shapes():
         parse_dense("1,3\n1,2\n")
     with pytest.raises(ValidationError):
         parse_dense("")
+    for text in ["1,2\n1,x\n",  # not a number
+                 "1,2\n1,1_0\n",  # float() reads underscores; the format has none
+                 "1,2\n1,2 # note\n",  # "#" starts no comment
+                 "1,2\n1,2,3\n",  # too wide
+                 "2,2\n1,2\n3\n",  # a row narrower than the first
+                 "0,2\n"]:  # a header and no rows
+        with pytest.raises(ValidationError, match="dense matrix"):
+            parse_dense(text)
+
+
+def test_parse_dense_skips_blank_lines():
+    assert np.array_equal(parse_dense("\n2,1\n \n1\n\t\n2\n\n"), [[1.0], [2.0]])
+
+
+_ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
+_EDGE_VALUES = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 0.1]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 6).flatmap(
+    lambda d2: st.lists(st.lists(_ANY_FINITE, min_size=d2, max_size=d2), min_size=1, max_size=6)))
+@example([_EDGE_VALUES, _EDGE_VALUES[::-1]])
+@example([[1.0]])
+def test_dense_round_trip_is_bit_identical(rows):
+    M = np.array(rows, dtype=np.float64)
+    back = parse_dense(format_dense(M))
+    assert back.shape == M.shape
+    assert np.array_equal(back.view(np.int64), M.view(np.int64))

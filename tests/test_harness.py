@@ -1,7 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxnorm_completion import (
     ExperimentConfig,
@@ -16,7 +18,6 @@ from maxnorm_completion import (
     median_mse_by_n,
     read_records_csv,
     run_experiment,
-    write_records_csv,
 )
 from maxnorm_completion import _rng
 from maxnorm_completion.harness import (
@@ -216,13 +217,43 @@ def test_csv_round_trip(tmp_path):
                     feasible_rows=False, feasible_linf=False, status="diverged"),
     ]
     path = tmp_path / "r.csv"
-    write_records_csv(path, records)
-    text = path.read_text()
-    assert text.splitlines()[0] == CSV_HEADER
+    path.write_text("\n".join([CSV_HEADER, *map(format_record, records)]) + "\n")
     back = read_records_csv(path)
     assert back[0] == records[0]
     assert back[1].status == "diverged"
     assert np.isnan(back[1].per_entry_mse)
+    path.write_text(CSV_HEADER + "\n")  # a run that has not finished a trial yet
+    assert read_records_csv(path) == []
+    row = "5,2,9,0.5,0.25,3.250,7,true,true,ok"
+    for body in [row.replace("5", "x", 1),  # not a number
+                 row.replace("7", "7.5"),  # iterations is an integer
+                 row + ",extra",  # too wide
+                 row.rsplit(",", 1)[0],  # too narrow
+                 row.replace("0.25", "0.25 # note")]:  # "#" starts no comment
+        path.write_text(f"{CSV_HEADER}\n{body}\n")
+        with pytest.raises(ValidationError, match="records CSV"):
+            read_records_csv(path)
+
+
+_INT64 = st.integers(-2**63, 2**63 - 1)
+_MSE = st.floats(allow_nan=False, allow_infinity=False) | st.just(math.nan)
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=_INT64, replicate=_INT64, seed=_INT64, per_entry_mse=_MSE, pi_weighted_mse=_MSE,
+       runtime_ms=st.floats(0, 1e9), iterations=_INT64, feasible_rows=st.booleans(),
+       feasible_linf=st.booleans(), status=st.sampled_from(["ok", "diverged"]))
+def test_records_csv_round_trip_is_bit_identical(tmp_path_factory, **fields):
+    rec = TrialRecord(**fields)
+    path = tmp_path_factory.mktemp("records") / "r.csv"
+    path.write_text(f"{CSV_HEADER}\n{format_record(rec)}\n")
+    (back,) = read_records_csv(path)
+    bits = lambda r: np.array([r.per_entry_mse, r.pi_weighted_mse]).view(np.int64).tolist()
+    assert bits(back) == bits(rec)
+    # runtime_ms is written to 3 decimals, so it round-trips through that text.
+    assert back.runtime_ms == float(f"{rec.runtime_ms:.3f}")
+    rest = ("n", "replicate", "seed", "iterations", "feasible_rows", "feasible_linf", "status")
+    assert [getattr(back, f) for f in rest] == [getattr(rec, f) for f in rest]
 
 
 def test_format_record_field_order():

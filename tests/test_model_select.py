@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxnorm_completion import (
     ObservationSet,
     PartialMatrix,
+    RankEstimate,
     RankSearchConfig,
     SolverConfig,
     ValidationError,
@@ -56,6 +58,19 @@ def test_column_mean_init_requires_an_observation():
     P = PartialMatrix(d1=2, d2=2, mask=np.zeros((2, 2), dtype=bool),
                       values=np.zeros((2, 2)))
     with pytest.raises(ValidationError):
+        column_mean_init(P)
+
+
+@pytest.mark.parametrize("cells", [
+    {(0, 0): 1e308, (1, 0): 1e308, (2, 0): 5e307, (3, 1): -1e200},  # a column's sum
+    {(0, 0): 1e308, (1, 1): 1e308},  # the global mean that fills the empty columns
+])
+def test_column_mean_init_rejects_overflowing_means(cells):
+    values = np.zeros((4, 4))
+    for cell, y in cells.items():
+        values[cell] = y
+    P = PartialMatrix(d1=4, d2=4, mask=values != 0, values=values)
+    with pytest.raises(ValidationError, match="too large"):
         column_mean_init(P)
 
 
@@ -180,3 +195,39 @@ def test_rank_report_round_trip(tmp_path):
 def test_parse_rank_report_rejects_missing_rank_line():
     with pytest.raises(ValidationError):
         parse_rank_report("2,0.5\n3,0.4\n")
+    dense = "1,1\n5\n"
+    for text, what in [("2,abc\n2\n" + dense, "rank report error"),  # not a number
+                       ("2.5,0.5\n2\n" + dense, "rank report error"),  # r is an integer
+                       ("2,0.5 # note\n2\n" + dense, "rank report error"),
+                       ("2,0.5,1\n2\n" + dense, "rank report error"),  # too wide
+                       ("2\n" + dense, "rank report error"),  # no error rows
+                       ("2,0.5\nx\n" + dense, "chosen-rank"),
+                       ("2,0.5\n2\n1,1\n5,6\n", "dense matrix")]:
+        with pytest.raises(ValidationError, match=what):
+            parse_rank_report(text)
+    errors, r_star, completion = parse_rank_report("\n2,0.5\n \n2\n\t\n" + dense)
+    assert (errors, r_star, completion.tolist()) == ([(2, 0.5)], 2, [[5.0]])
+
+
+_ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
+
+
+@st.composite
+def _rank_estimates(draw):
+    errors = draw(st.lists(_ANY_FINITE, min_size=1, max_size=6))
+    d1, d2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    chosen = np.array(draw(st.lists(_ANY_FINITE, min_size=d1 * d2, max_size=d1 * d2)))
+    return RankEstimate(r_star=draw(st.integers(2, len(errors) + 1)),
+                        errors=tuple(enumerate(errors, start=2)),
+                        chosen=chosen.reshape(d1, d2), profile_init=np.zeros((d1, d2)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(est=_rank_estimates())
+def test_rank_report_round_trip_is_bit_identical(est):
+    errors, r_star, completion = parse_rank_report(format_rank_report(est))
+    assert r_star == est.r_star
+    assert [r for r, _ in errors] == [r for r, _ in est.errors]
+    bits = lambda es: np.array([e for _, e in es]).view(np.int64).tolist()
+    assert bits(errors) == bits(est.errors)
+    assert np.array_equal(completion.view(np.int64), est.chosen.view(np.int64))

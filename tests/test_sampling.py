@@ -264,6 +264,45 @@ def test_observation_format_header():
         parse_observations("2,2,2\n0,1,0.5\n")
 
 
+def test_parse_observations_rejects_malformed_rows():
+    obs = parse_observations("2,2,2\n \n0,1,0.5\n\t\n1,1,-2\n\n")  # blank lines are skipped
+    assert obs.indices.tolist() == [[0, 1], [1, 1]] and obs.values.tolist() == [0.5, -2.0]
+    for text in ["2,2,1\n1.5,0,1\n",  # an index is an integer
+                 "2,2,1\n0,0,abc\n",  # not a number
+                 "2,2,1\n0,0,1_0\n",  # float() reads underscores; the format has none
+                 "2,2,1\n0,0,1 # note\n",  # "#" starts no comment
+                 "2,2,1\n0,0,1,2\n",  # too wide
+                 "2,2,1\n0,0\n",  # too narrow
+                 "2,2,0\n",  # a header and no rows
+                 "2,2,1\n"]:  # a header and a missing row
+        with pytest.raises(ValidationError, match="observation"):
+            parse_observations(text)
+
+
+_ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
+
+
+@st.composite
+def _observation_sets(draw):
+    d1, d2 = draw(st.integers(1, 2**31)), draw(st.integers(1, 2**31))
+    n = draw(st.integers(1, 12))
+    idx = [(draw(st.integers(0, d1 - 1)), draw(st.integers(0, d2 - 1))) for _ in range(n)]
+    values = draw(st.lists(_ANY_FINITE, min_size=n, max_size=n))
+    return ObservationSet(d1=d1, d2=d2, indices=np.array(idx), values=np.array(values))
+
+
+@settings(deadline=None, max_examples=200)
+@given(obs=_observation_sets())
+@example(obs=ObservationSet(d1=3, d2=3, indices=np.array([[0, 0], [1, 2], [2, 1], [2, 2]]),
+                            values=np.array([-0.0, 5e-324, 1.7976931348623157e308,
+                                             -1.7976931348623157e308])))
+def test_observation_round_trip_is_bit_identical(obs):
+    back = parse_observations(format_observations(obs))
+    assert (back.d1, back.d2) == (obs.d1, obs.d2)
+    assert np.array_equal(back.indices, obs.indices)
+    assert np.array_equal(back.values.view(np.int64), obs.values.view(np.int64))
+
+
 def test_observation_format_is_byte_exact():
     values = [-0.0, 5e-324, 1e300, 2.0 ** 60, -1 / 3, 0.1]
     idx = np.array([[0, 1], [999_999, 1_000_000], [1_234_567, 7], [3, 2_000_000],
@@ -297,3 +336,10 @@ def test_distribution_parse_errors():
         parse_distribution("2,2\ntriangular\n")
     with pytest.raises(ValidationError):
         parse_distribution("2,2\nproduct\n1,1\n")
+    for text, what in [("2,2\nproduct\n1,x\n1,1\n", "row marginal"),
+                       ("2,2\nproduct\n1,1\n1,1 # note\n", "column marginal"),
+                       ("2,2\nexplicit\n0.1,0.2\n0.3,abc\n", "explicit distribution"),
+                       ("2,2\nexplicit\n0.1,0.2\n0.3,0.2,0.2\n", "explicit distribution"),
+                       ("0,2\nexplicit\n", "explicit distribution")]:
+        with pytest.raises(ValidationError, match=what):
+            parse_distribution(text)
