@@ -236,6 +236,11 @@ _KNOWN_KEYS = {
 }
 
 
+def _list_of(convert):
+    """A converter of comma-separated text to a list of `convert`ed items."""
+    return lambda text: [convert(t) for t in text.split(",")]
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse an experiment config.
 
@@ -254,7 +259,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
           solver.max_iters = 5000; solver.tol = 1e-7
       experiment.seed = 0; output.path: unset, else the records CSV is written there
     """
-    kv = {}
+    kv, line_of = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -266,55 +271,62 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ValidationError(f"config line {lineno}: unknown key {key!r}")
         if key in kv:
             raise ValidationError(f"config line {lineno}: duplicate key {key!r}")
-        kv[key] = value
+        kv[key], line_of[key] = value, lineno
     for key in _REQUIRED_KEYS:
         if key not in kv:
             raise ValidationError(f"config is missing required key {key!r}")
 
-    d1 = int(kv["truth.d1"])
-    d2 = int(kv["truth.d2"])
-    rank = int(kv["truth.rank"])
-    alpha = float(kv["truth.alpha"])
-    truth_seed = int(kv.get("truth.seed", "0"))
+    def get(key, convert, default=None):
+        """kv[key] passed through `convert`, or `default` if the key is unset."""
+        if key not in kv:
+            return default
+        try:
+            return convert(kv[key])
+        except ValueError as exc:
+            raise ValidationError(
+                f"config line {line_of[key]}: bad value for {key!r}: {exc}") from None
+
+    d1 = get("truth.d1", int)
+    d2 = get("truth.d2", int)
+    rank = get("truth.rank", int)
+    alpha = get("truth.alpha", float)
+    truth_seed = get("truth.seed", int, 0)
 
     kind = kv.get("sampling.kind", "uniform")
     if kind == "file":
         from .sampling import load_distribution
         dist = load_distribution(kv["sampling.file"])
     elif kind == "product":
-        row = [float(t) for t in kv["sampling.row_marginals"].split(",")]
-        col = [float(t) for t in kv["sampling.col_marginals"].split(",")]
-        dist = make_distribution("product", d1, d2, row_marginals=row, col_marginals=col)
+        dist = make_distribution("product", d1, d2,
+                                 row_marginals=get("sampling.row_marginals", _list_of(float)),
+                                 col_marginals=get("sampling.col_marginals", _list_of(float)))
     elif kind == "uniform":
         dist = make_distribution("uniform", d1, d2)
     else:
         raise ValidationError(f"unsupported sampling.kind {kind!r} in config")
 
-    noise = NoiseModel(kind=kv.get("noise.kind", "none"),
-                       sigma=float(kv.get("noise.sigma", "0")))
+    noise = NoiseModel(kind=kv.get("noise.kind", "none"), sigma=get("noise.sigma", float, 0.0))
 
-    n_grid = tuple(int(t) for t in kv["grid.n"].split(","))
-    replicates = int(kv.get("grid.replicates", "1"))
+    n_grid = tuple(get("grid.n", _list_of(int)))
+    replicates = get("grid.replicates", int, 1)
 
-    constraint_alpha = None
-    if kv.get("constraints.alpha", "auto") != "auto":
-        constraint_alpha = float(kv["constraints.alpha"])
+    constraint_alpha = (None if kv.get("constraints.alpha", "auto") == "auto"
+                        else get("constraints.alpha", float))
     rule_text = kv.get("constraints.radius_rule", RADIUS_RULE_SQRT_RANK)
-    radius = None if rule_text == RADIUS_RULE_SQRT_RANK else float(rule_text)
+    radius = None if rule_text == RADIUS_RULE_SQRT_RANK else get("constraints.radius_rule", float)
 
-    k_text = kv.get("solver.k", "auto")
-    k = rank + 1 if k_text == "auto" else int(k_text)
+    k = rank + 1 if kv.get("solver.k", "auto") == "auto" else get("solver.k", int)
     solver = SolverConfig(
         k=k,
-        tau=float(kv.get("solver.tau", DEFAULT_TAU)),
-        max_iters=int(kv.get("solver.max_iters", DEFAULT_MAX_ITERS)),
-        tol=float(kv.get("solver.tol", DEFAULT_TOL)),
+        tau=get("solver.tau", float, DEFAULT_TAU),
+        max_iters=get("solver.max_iters", int, DEFAULT_MAX_ITERS),
+        tol=get("solver.tol", float, DEFAULT_TOL),
     )
 
     return ExperimentConfig(
         d1=d1, d2=d2, rank=rank, alpha=alpha, truth_seed=truth_seed,
         distribution=dist, noise=noise, n_grid=n_grid, replicates=replicates,
-        solver=solver, base_seed=int(kv.get("experiment.seed", "0")),
+        solver=solver, base_seed=get("experiment.seed", int, 0),
         constraint_alpha=constraint_alpha, radius=radius,
         output_path=kv.get("output.path"),
     )

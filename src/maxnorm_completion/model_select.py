@@ -1,11 +1,14 @@
 """Rank estimation for partially observed matrices via spectral profiles.
 
-The search fills missing entries with column means, takes per-column DFT
-magnitude profiles of that initial fill, then for each candidate rank r
-solves the constrained completion with radius alpha0 * sqrt(r) and scores
-the completion by the Frobenius distance between its profile and the
-initial one.  The r minimizing that distance is returned (smallest r on
-ties).
+A PartialMatrix is an ObservationSet with one observation per observed
+cell, the mean of that cell's draws.  The search fills missing entries with
+column means, takes per-column DFT magnitude profiles of that initial fill,
+then for each candidate rank r solves the constrained completion with
+radius alpha0 * sqrt(r) and scores the completion by the Frobenius distance
+between its profile and the initial one.  The r minimizing that distance is
+returned (smallest r on ties).  The candidate fits run on the observed
+cells themselves; the column-mean fill is the one d1 x d2 array built
+before them.
 """
 
 from dataclasses import dataclass, replace
@@ -19,49 +22,25 @@ from .sampling import ObservationSet
 from .solver import SolverConfig, _dedupe_observations, fit_pgd as fit
 
 
-@dataclass(frozen=True)
-class PartialMatrix:
-    """Observed mask plus values on a d1 x d2 grid (zeros where missing)."""
+class PartialMatrix(ObservationSet):
+    """One observation per observed cell: the mean of the cell's draws.
 
-    d1: int
-    d2: int
-    mask: np.ndarray  # bool, True where observed
-    values: np.ndarray  # float64, meaningful where mask is True
+    The cells are distinct and in row-major order; `from_observations`
+    collapses repeated draws into this form.
+    """
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool)
-        vals = check_matrix(self.values, "values")
-        if mask.shape != (self.d1, self.d2) or vals.shape != (self.d1, self.d2):
-            raise ValidationError(
-                f"mask/values shapes {mask.shape}/{vals.shape} do not match "
-                f"({self.d1}, {self.d2})"
-            )
-        mask = np.ascontiguousarray(mask)
-        mask.flags.writeable = False
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "values", _frozen(np.where(mask, vals, 0.0)))
-
-    @property
-    def observed_count(self) -> int:
-        return int(self.mask.sum())
+        super().__post_init__()
+        flat = self.indices[:, 0] * self.d2 + self.indices[:, 1]
+        if (np.diff(flat) <= 0).any():
+            raise ValidationError("partial matrix cells must be distinct and in row-major order")
 
     @classmethod
     def from_observations(cls, obs: ObservationSet) -> "PartialMatrix":
-        """Collapse an observation list onto the grid, averaging duplicates."""
+        """Collapse an observation list onto its cells, averaging duplicates."""
         cells = _dedupe_observations(obs)
-        mask = np.zeros((obs.d1, obs.d2), dtype=bool)
-        mask[cells.rows, cells.cols] = True
-        vals = np.zeros((obs.d1, obs.d2))
-        vals[cells.rows, cells.cols] = cells.means
-        return cls(d1=obs.d1, d2=obs.d2, mask=mask, values=vals)
-
-    def to_observations(self) -> ObservationSet:
-        """One observation per observed cell."""
-        if self.observed_count == 0:
-            raise ValidationError("partial matrix has no observed entries")
-        idx = np.argwhere(self.mask)
-        return ObservationSet(d1=self.d1, d2=self.d2, indices=idx,
-                              values=self.values[self.mask])
+        return cls(d1=obs.d1, d2=obs.d2, indices=np.column_stack([cells.rows, cells.cols]),
+                   values=cells.means)
 
 
 @dataclass(frozen=True)
@@ -94,17 +73,22 @@ def column_mean_init(P: PartialMatrix) -> np.ndarray:
 
     A fully missing column falls back to the global observed mean.
     """
-    if P.observed_count == 0:
-        raise ValidationError("cannot column-mean fill a matrix with no observations")
-    counts = P.mask.sum(axis=0)
+    rows, cols = P.indices.T
+    M = np.zeros((P.d1, P.d2))
+    M[rows, cols] = P.values
+    counts = np.bincount(cols, minlength=P.d2)
     with np.errstate(over="ignore"):  # an overflow is reported below
-        sums = P.values.sum(axis=0)
-        global_mean = P.values[P.mask].mean()
+        # Summed over the zero-filled grid: a np.bincount over the cells is
+        # not bit-equal to it (numpy sums a single column, d2 = 1, pairwise).
+        sums = M.sum(axis=0)
+        global_mean = P.values.mean()
     col_means = np.where(counts > 0, sums / np.maximum(counts, 1), global_mean)
     if not np.isfinite(col_means).all():
         raise ValidationError("a column mean is not finite; "
                               "the observed values are too large in magnitude")
-    return np.where(P.mask, P.values, col_means[None, :])
+    M[:] = col_means  # then put the observed values back
+    M[rows, cols] = P.values
+    return M
 
 
 def spectral_magnitude(M) -> np.ndarray:
@@ -132,20 +116,19 @@ def estimate_rank(P: PartialMatrix, cfg: RankSearchConfig) -> RankEstimate:
         raise ValidationError(
             f"r_max={cfg.r_max} exceeds min(d1, d2) = {min(P.d1, P.d2)}"
         )
-    obs = P.to_observations()
     profile0 = spectral_magnitude(column_mean_init(P))
     errors = []
     best = None  # (error, r, completion)
     for r in range(2, cfg.r_max + 1):
-        result = fit(obs, ConstraintSet(alpha=cfg.alpha0, radius=cfg.alpha0 * np.sqrt(r)),
+        result = fit(P, ConstraintSet(alpha=cfg.alpha0, radius=cfg.alpha0 * np.sqrt(r)),
                      replace(cfg.solver, k=r + 1))
         e = profile_distance(profile0, spectral_magnitude(result.completed))
         errors.append((r, e))
         if best is None or e < best[0]:
             best = (e, r, result.completed)
-    # Free these before RankEstimate copies two d1 x d2 arrays, so the copies
-    # can reuse their memory instead of growing the heap.
-    del obs, result
+    # Free the last fit before RankEstimate copies two d1 x d2 arrays, so the
+    # copies can reuse its memory instead of growing the heap.
+    del result
     return RankEstimate(r_star=best[1], errors=tuple(errors), chosen=best[2],
                         profile_init=profile0)
 

@@ -112,8 +112,7 @@ class ObservationSet:
 
 
 def make_distribution(kind: str, d1: int, d2: int, *, row_marginals=None,
-                      col_marginals=None, probs=None,
-                      require_positive: bool = True) -> SamplingDistribution:
+                      col_marginals=None, probs=None) -> SamplingDistribution:
     """Build a normalized sampling distribution on the d1 x d2 grid.
 
     kind is one of:
@@ -122,8 +121,8 @@ def make_distribution(kind: str, d1: int, d2: int, *, row_marginals=None,
                     (marginals are normalized first);
       "explicit" -- probs given directly (normalized).
 
-    With require_positive (the default), any zero cell is rejected: a cell
-    that can never be observed makes the flatness parameter mu infinite.
+    Any zero cell is rejected: a cell that can never be observed makes the
+    flatness parameter mu infinite.
     """
     if d1 < 1 or d2 < 1:
         raise ValidationError(f"grid dimensions must be positive, got ({d1}, {d2})")
@@ -147,7 +146,7 @@ def make_distribution(kind: str, d1: int, d2: int, *, row_marginals=None,
         p = p / total
     else:
         raise ValidationError(f"unknown distribution kind {kind!r}")
-    if require_positive and (p <= 0).any():
+    if (p <= 0).any():
         raise ValidationError(
             "distribution has a zero cell; every entry must be observable "
             "with positive probability"

@@ -147,6 +147,14 @@ def test_experiment_command(tmp_path, capsys):
     assert len(lines) == 1 + 6
 
 
+def test_experiment_bad_config_value_exits_one(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text("truth.d1 = 10\ntruth.d2 = 10\ntruth.rank = 2\ntruth.alpha = 1.0\n"
+                      "grid.n = 40,x\n")
+    assert main(["experiment", "--config", str(config)]) == 1
+    assert "config line 5: bad value for 'grid.n'" in capsys.readouterr().err
+
+
 def test_theory_rates_stdout(capsys):
     code = main(["theory", "rates", "--alpha", "1", "--sigma", "1",
                  "--radius", "1.7320508075688772", "--d1", "50", "--d2", "50",

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -307,9 +308,29 @@ def test_parse_config_rejects_unknown_and_duplicate_keys():
         parse_config_text(CONFIG_TEXT + "\ntruth.d1 = 9\n")
     with pytest.raises(ValidationError):
         parse_config_text("truth.d1 = 4\n")  # missing required keys
+    with pytest.raises(ValidationError, match="requires row_marginals"):
+        parse_config_text(CONFIG_TEXT.replace("sampling.row_marginals", "# sampling.row_marginals"))
     for removed in ("solver.algorithm = pgd", "solver.epochs = 5", "solver.backtrack = false"):
         with pytest.raises(ValidationError, match="unknown key"):
             parse_config_text(CONFIG_TEXT + removed + "\n")
+
+
+@pytest.mark.parametrize("line, key", [
+    ("truth.d1 = x", "truth.d1"),  # int
+    ("truth.seed = 1.5", "truth.seed"),
+    ("solver.k = two", "solver.k"),
+    ("truth.alpha = one", "truth.alpha"),  # float
+    ("noise.sigma = 0.2.1", "noise.sigma"),
+    ("constraints.radius_rule = wide", "constraints.radius_rule"),
+    ("sampling.row_marginals = 1,a,1", "sampling.row_marginals"),  # list of floats
+    ("grid.n = 5,x", "grid.n"),  # list of ints
+    ("grid.n = 60,,240", "grid.n"),
+])
+def test_parse_config_names_the_line_and_key_of_a_bad_value(line, key):
+    lines = [line if ln.startswith(key + " ") else ln for ln in CONFIG_TEXT.splitlines()]
+    with pytest.raises(ValidationError, match=re.escape(
+            f"config line {lines.index(line) + 1}: bad value for {key!r}")):
+        parse_config_text("\n".join(lines))
 
 
 def test_fixed_radius_rule():

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maxnorm_completion import (
     ObservationSet,
@@ -15,7 +15,7 @@ from maxnorm_completion import (
     estimate_rank,
     spectral_magnitude,
 )
-from maxnorm_completion import model_select
+from maxnorm_completion import model_select, solver
 from maxnorm_completion.model_select import (
     format_rank_report,
     load_rank_report,
@@ -29,18 +29,23 @@ def _solver_template(max_iters=4000, tau=2.0, tol=1e-10):
     return SolverConfig(k=2, tau=tau, max_iters=max_iters, tol=tol, seed=0)
 
 
+def _partial(values, mask=None):
+    """The PartialMatrix observing `values` where `mask` holds (everywhere by default)."""
+    mask = np.ones(np.shape(values), dtype=bool) if mask is None else np.asarray(mask)
+    return PartialMatrix(d1=mask.shape[0], d2=mask.shape[1], indices=np.argwhere(mask),
+                         values=np.asarray(values, dtype=np.float64)[mask])
+
+
 def test_column_mean_init_identity_on_full_observation():
     rng = np.random.default_rng(1)
     M = rng.normal(size=(5, 4))
-    P = PartialMatrix(d1=5, d2=4, mask=np.ones((5, 4), dtype=bool), values=M)
-    assert np.array_equal(column_mean_init(P), M)
+    assert np.array_equal(column_mean_init(_partial(M)), M)
 
 
 def test_column_mean_init_fills_with_column_mean():
     values = np.array([[2.0, 1.0], [4.0, 1.0], [0.0, 1.0]])
     mask = np.array([[True, True], [True, True], [False, True]])
-    P = PartialMatrix(d1=3, d2=2, mask=mask, values=values)
-    out = column_mean_init(P)
+    out = column_mean_init(_partial(values, mask))
     assert out[2, 0] == pytest.approx(3.0, rel=1e-15)
     # observed cells are copied bit-for-bit
     assert np.array_equal(out[mask], values[mask])
@@ -49,16 +54,8 @@ def test_column_mean_init_fills_with_column_mean():
 def test_column_mean_init_empty_column_uses_global_mean():
     values = np.array([[2.0, 0.0], [4.0, 0.0]])
     mask = np.array([[True, False], [True, False]])
-    P = PartialMatrix(d1=2, d2=2, mask=mask, values=values)
-    out = column_mean_init(P)
+    out = column_mean_init(_partial(values, mask))
     assert np.allclose(out[:, 1], 3.0, rtol=0, atol=1e-15)
-
-
-def test_column_mean_init_requires_an_observation():
-    P = PartialMatrix(d1=2, d2=2, mask=np.zeros((2, 2), dtype=bool),
-                      values=np.zeros((2, 2)))
-    with pytest.raises(ValidationError):
-        column_mean_init(P)
 
 
 @pytest.mark.parametrize("cells", [
@@ -69,7 +66,7 @@ def test_column_mean_init_rejects_overflowing_means(cells):
     values = np.zeros((4, 4))
     for cell, y in cells.items():
         values[cell] = y
-    P = PartialMatrix(d1=4, d2=4, mask=values != 0, values=values)
+    P = _partial(values, values != 0)
     with pytest.raises(ValidationError, match="too large"):
         column_mean_init(P)
 
@@ -107,18 +104,83 @@ def test_from_observations_averages_duplicates():
                          indices=np.array([[0, 0], [0, 0], [1, 1]]),
                          values=np.array([1.0, 3.0, 5.0]))
     P = PartialMatrix.from_observations(obs)
-    assert P.values[0, 0] == pytest.approx(2.0, rel=1e-15)
-    assert P.values[1, 1] == 5.0
-    assert P.observed_count == 2
-    back = P.to_observations()
-    assert back.n == 2
+    assert P.indices.tolist() == [[0, 0], [1, 1]]
+    assert P.values.tolist() == [2.0, 5.0]
+
+
+@st.composite
+def _duplicate_heavy_observations(draw):
+    """Draws from a few cells of a d1 x d2 grid, some columns empty, -0.0 among the values."""
+    d1, d2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cols = draw(st.lists(st.integers(0, d2 - 1), min_size=1, unique=True))  # observed columns
+    pool = draw(st.lists(st.tuples(st.integers(0, d1 - 1), st.sampled_from(cols)),
+                         min_size=1, max_size=6))
+    idx = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    values = draw(st.lists(st.one_of(st.just(-0.0), st.floats(-1e300, 1e300)),
+                           min_size=len(idx), max_size=len(idx)))
+    return ObservationSet(d1=d1, d2=d2, indices=np.array(idx), values=np.array(values))
+
+
+def _dense_column_mean_init(obs):
+    """The column-mean fill on a dense mask and value grid, as the dense reference."""
+    cells = solver._dedupe_observations(obs)
+    mask = np.zeros((obs.d1, obs.d2), dtype=bool)
+    mask[cells.rows, cells.cols] = True
+    values = np.zeros((obs.d1, obs.d2))
+    values[cells.rows, cells.cols] = cells.means
+    counts = mask.sum(axis=0)
+    col_means = np.where(counts > 0, values.sum(axis=0) / np.maximum(counts, 1),
+                         values[mask].mean())
+    return np.where(mask, values, col_means[None, :])
+
+
+# d2 = 1, 8 of 9 rows observed: numpy sums the lone column pairwise to
+# 1 + 7e-16, a sequential sum (np.bincount's) to 1.0, and row 8 gets the mean.
+_ONE_COLUMN = ObservationSet(d1=9, d2=1, indices=np.column_stack([np.arange(8), np.zeros(8)]),
+                             values=[1.0] + [1e-16] * 7)
+
+
+@settings(deadline=None, max_examples=200)
+@given(obs=_duplicate_heavy_observations())
+@example(obs=_ONE_COLUMN)
+# The global mean -5e-324 / 2 rounds to -0.0, which fills the empty column.
+@example(obs=ObservationSet(d1=1, d2=3, indices=[[0, 0], [0, 1]], values=[-5e-324, 0.0]))
+def test_column_mean_init_is_bit_identical_to_dense_reference(obs):
+    out = column_mean_init(PartialMatrix.from_observations(obs))
+    assert np.array_equal(out.view(np.int64), _dense_column_mean_init(obs).view(np.int64))
+
+
+@settings(deadline=None, max_examples=200)
+@given(obs=_duplicate_heavy_observations())
+@example(obs=_ONE_COLUMN)
+@example(obs=ObservationSet(d1=1, d2=1, indices=[[0, 0], [0, 0]], values=[-0.0, -5e-324]))
+def test_from_observations_lists_cells_in_argwhere_order_and_is_idempotent(obs):
+    P = PartialMatrix.from_observations(obs)
+    mask = np.zeros((obs.d1, obs.d2), dtype=bool)
+    mask[obs.indices[:, 0], obs.indices[:, 1]] = True
+    assert np.array_equal(P.indices, np.argwhere(mask))
+    again = PartialMatrix.from_observations(P)
+    assert np.array_equal(again.indices, P.indices)
+    # Equal values; a mean of -0.0 comes back as +0.0, as np.bincount sums from +0.0.
+    assert np.array_equal(again.values, P.values)
+
+
+@pytest.mark.parametrize("indices, values", [
+    ([[0, 1], [0, 1]], [1.0, 2.0]),  # a repeated cell
+    ([[1, 0], [0, 1]], [1.0, 2.0]),  # out of row-major order
+    ([[0, 1], [0, 0]], [1.0, 2.0]),  # out of order within a row
+    (np.zeros((0, 2), dtype=np.int64), []),  # no cells
+])
+def test_partial_matrix_rejects_repeated_unordered_or_no_cells(indices, values):
+    with pytest.raises(ValidationError):
+        PartialMatrix(d1=2, d2=2, indices=indices, values=values)
 
 
 def test_estimate_rank_full_rank_one_matrix():
     rng = np.random.default_rng(11)
     M0 = np.outer(rng.uniform(0.5, 1.0, 8), rng.uniform(0.5, 1.0, 8))
     M0 /= np.abs(M0).max()
-    P = PartialMatrix(d1=8, d2=8, mask=np.ones((8, 8), dtype=bool), values=M0)
+    P = _partial(M0)
     cfg = RankSearchConfig(alpha0=1.0, r_max=4, solver=_solver_template())
     est = estimate_rank(P, cfg)
     rel = np.linalg.norm(est.chosen - M0) / np.linalg.norm(M0)
@@ -133,7 +195,7 @@ def test_estimate_rank_full_rank_one_matrix():
 def test_estimate_rank_singleton_search():
     rng = np.random.default_rng(13)
     M0 = np.outer(rng.uniform(0.5, 1.0, 6), rng.uniform(0.5, 1.0, 6))
-    P = PartialMatrix(d1=6, d2=6, mask=np.ones((6, 6), dtype=bool), values=M0)
+    P = _partial(M0)
     cfg = RankSearchConfig(alpha0=float(np.abs(M0).max()), r_max=2,
                            solver=_solver_template(max_iters=500))
     est = estimate_rank(P, cfg)
@@ -142,8 +204,7 @@ def test_estimate_rank_singleton_search():
 
 
 def test_estimate_rank_r_max_capped_by_dims():
-    P = PartialMatrix(d1=3, d2=3, mask=np.ones((3, 3), dtype=bool),
-                      values=np.ones((3, 3)))
+    P = _partial(np.ones((3, 3)))
     cfg = RankSearchConfig(alpha0=1.0, r_max=5, solver=_solver_template())
     with pytest.raises(ValidationError):
         estimate_rank(P, cfg)
@@ -161,7 +222,7 @@ def test_estimate_rank_fits_each_rank_through_model_select_fit(monkeypatch):
     rng = np.random.default_rng(23)
     M0 = np.outer(rng.uniform(0.5, 1.0, 6), rng.uniform(0.5, 1.0, 6))
     M0 /= np.abs(M0).max()
-    P = PartialMatrix(d1=6, d2=6, mask=np.ones((6, 6), dtype=bool), values=M0)
+    P = _partial(M0)
     cfg = RankSearchConfig(alpha0=0.5, r_max=4, solver=_solver_template(max_iters=300))
     inner, calls = model_select.fit, []
 
@@ -178,7 +239,7 @@ def test_estimate_rank_fits_each_rank_through_model_select_fit(monkeypatch):
 def test_rank_report_round_trip(tmp_path):
     rng = np.random.default_rng(19)
     M0 = np.outer(rng.uniform(0.5, 1.0, 6), rng.uniform(0.5, 1.0, 6))
-    P = PartialMatrix(d1=6, d2=6, mask=np.ones((6, 6), dtype=bool), values=M0)
+    P = _partial(M0)
     cfg = RankSearchConfig(alpha0=float(np.abs(M0).max()), r_max=3,
                            solver=_solver_template(max_iters=300))
     est = estimate_rank(P, cfg)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from maxnorm_completion import (
     NoiseModel,
     ObservationSet,
+    SamplingDistribution,
     ValidationError,
     make_distribution,
     observe,
@@ -49,12 +50,19 @@ def test_marginals_are_normalized_before_use():
     assert dist.probs[0, 0] == pytest.approx((1 / 3) * 0.5, rel=1e-12)
 
 
+def _with_zero_cells(kind, weights):
+    """`weights` normalized, zero cells allowed: make_distribution rejects those."""
+    w = np.asarray(weights, dtype=np.float64)
+    return SamplingDistribution(d1=w.shape[0], d2=w.shape[1], probs=w / w.sum(), kind=kind)
+
+
 def test_explicit_zero_cell_rejected_when_positivity_required():
     probs = np.array([[0.5, 0.5], [0.0, 0.0]])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="zero cell"):
         make_distribution("explicit", 2, 2, probs=probs)
-    dist = make_distribution("explicit", 2, 2, probs=probs, require_positive=False)
-    assert dist.mu == np.inf
+    with pytest.raises(ValidationError, match="zero cell"):
+        make_distribution("product", 2, 2, row_marginals=[1, 0], col_marginals=[1, 1])
+    assert _with_zero_cells("explicit", probs).mu == np.inf
 
 
 def test_flatness_parameters_never_below_one():
@@ -70,8 +78,7 @@ def test_flatness_parameters_never_below_one():
 def test_point_mass_sampling():
     probs = np.zeros((3, 4))
     probs[2, 3] = 1.0
-    dist = make_distribution("explicit", 3, 4, probs=probs, require_positive=False)
-    idx = sample_indices(dist, 5, seed=0)
+    idx = sample_indices(_with_zero_cells("explicit", probs), 5, seed=0)
     assert np.array_equal(idx, np.tile([2, 3], (5, 1)))
 
 
@@ -103,7 +110,7 @@ def _choice_draws(dist, n, seed):
 def _point_mass(d1, d2, i, j):
     probs = np.zeros((d1, d2))
     probs[i, j] = 1.0
-    return make_distribution("explicit", d1, d2, probs=probs, require_positive=False)
+    return _with_zero_cells("explicit", probs)
 
 
 _weights = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
@@ -121,13 +128,11 @@ def _distributions(draw):
     if kind == "uniform":
         return make_distribution("uniform", d1, d2)
     if kind == "product":
-        return make_distribution("product", d1, d2, row_marginals=draw(_weight_lists(d1)),
-                                 col_marginals=draw(_weight_lists(d2)),
-                                 require_positive=False)
+        row, col = np.array(draw(_weight_lists(d1))), np.array(draw(_weight_lists(d2)))
+        return _with_zero_cells("product", np.outer(row / row.sum(), col / col.sum()))
     if kind == "point":
         return _point_mass(d1, d2, draw(st.integers(0, d1 - 1)), draw(st.integers(0, d2 - 1)))
-    probs = np.reshape(draw(_weight_lists(d1 * d2)), (d1, d2))
-    return make_distribution("explicit", d1, d2, probs=probs, require_positive=False)
+    return _with_zero_cells("explicit", np.reshape(draw(_weight_lists(d1 * d2)), (d1, d2)))
 
 
 @settings(deadline=None, max_examples=200)
@@ -152,7 +157,7 @@ def test_sample_indices_ties_equal_generator_choice():
     leading_zeros = np.array([[0.0, 0.25, 0.0, 0.25], [0.0, 0.0, 0.5, 0.0]])
     dists = [make_distribution("uniform", 2, 2),
              make_distribution("uniform", 2, 5),  # its unnormalized CDF ends below 1
-             make_distribution("explicit", 2, 4, probs=leading_zeros, require_positive=False),
+             _with_zero_cells("explicit", leading_zeros),
              _point_mass(3, 4, 2, 3)]
     tie_rng = lambda seed, stream: _TieGenerator(np.random.PCG64(seed))
     with patch.object(_rng, "stream_rng", tie_rng):

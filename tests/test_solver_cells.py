@@ -6,7 +6,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maxnorm_completion import (
     ConstraintSet,
@@ -67,6 +67,7 @@ def test_first_trace_entry_is_dense_loss_at_start(seed, d1, d2, n, pool, k):
 
 @settings(max_examples=100, deadline=None)
 @given(**shapes)
+@example(seed=34194848, d1=1, d2=2, n=56, pool=1)  # the draws nearly cancel: mean 1.27e-6
 def test_dedupe_matches_per_cell_reference(seed, d1, d2, n, pool):
     _, obs = _duplicate_heavy_instance(seed, d1, d2, n, pool)
     draws = defaultdict(list)
@@ -77,7 +78,9 @@ def test_dedupe_matches_per_cell_reference(seed, d1, d2, n, pool):
     assert cells.rows.tolist() == [i for i, _ in keys]
     assert cells.cols.tolist() == [j for _, j in keys]
     assert cells.counts.tolist() == [len(draws[c]) for c in keys]
-    _assert_close(cells.means, [np.mean(draws[c]) for c in keys])
+    # A mean's rounding error scales with its cell's sum(|y|) / count, not with the mean.
+    scale = np.array([np.abs(draws[c]).sum() / len(draws[c]) for c in keys])
+    assert (np.abs(cells.means - [np.mean(draws[c]) for c in keys]) <= 1e-12 * scale).all()
     ss = sum(float(((np.array(v) - np.mean(v)) ** 2).sum()) for v in draws.values())
     assert cells.ss_within == pytest.approx(ss, rel=1e-12, abs=1e-12)
     assert cells.n == obs.n
