@@ -156,12 +156,25 @@ def factor_norms(F: Factorization) -> FactorNormReport:
 
 
 def pi_weighted_sq_norm(M, distribution) -> float:
-    """Sampling-weighted squared norm: sum_kl probs[k,l] * M[k,l]^2.
+    """Sampling-weighted squared norm: sum_kl pi[k,l] * M[k,l]^2.
 
     `distribution` may be a SamplingDistribution or a bare probability array
-    of the same shape as M.
+    of the same shape as M.  Uniform and product distributions are weighted
+    through their marginals, with no d1 x d2 temporary: sum(M^2) / (d1*d2)
+    and row_probs @ (M^2 @ col_probs), each row summed in one pass.
     """
     A = check_matrix(M)
+    kind = getattr(distribution, "kind", "explicit")
+    if kind != "explicit":
+        shape = (distribution.d1, distribution.d2)
+        if shape != A.shape:
+            raise ValidationError(
+                f"distribution shape {shape} does not match matrix shape {A.shape}"
+            )
+        if kind == "uniform":
+            return float(np.einsum("ij,ij->", A, A) / A.size)
+        return float(distribution.row_probs @ np.einsum("ij,ij,j->i", A, A,
+                                                        distribution.col_probs))
     probs = np.asarray(getattr(distribution, "probs", distribution), dtype=np.float64)
     if probs.shape != A.shape:
         raise ValidationError(

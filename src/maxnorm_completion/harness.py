@@ -276,9 +276,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key not in kv:
             raise ValidationError(f"config is missing required key {key!r}")
 
-    def get(key, convert, default=None):
-        """kv[key] passed through `convert`, or `default` if the key is unset."""
+    def get(key, convert, default=None, *, required_by=None):
+        """kv[key] passed through `convert`, or `default` if the key is unset.
+
+        An unset key that the set key `required_by` needs is an error naming
+        that key's line.
+        """
         if key not in kv:
+            if required_by is not None:
+                raise ValidationError(f"config line {line_of[required_by]}: "
+                                      f"{required_by} = {kv[required_by]} requires {key!r}")
             return default
         try:
             return convert(kv[key])
@@ -295,7 +302,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     kind = kv.get("sampling.kind", "uniform")
     if kind == "file":
         from .sampling import load_distribution
-        dist = load_distribution(kv["sampling.file"])
+        dist = load_distribution(get("sampling.file", str, required_by="sampling.kind"))
     elif kind == "product":
         dist = make_distribution("product", d1, d2,
                                  row_marginals=get("sampling.row_marginals", _list_of(float)),

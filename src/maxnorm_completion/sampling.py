@@ -1,7 +1,10 @@
 """Sampling distributions on the index grid and the noisy observation model.
 
 Indices are drawn i.i.d. with replacement from a distribution over the
-d1 x d2 grid; each draw t observes Y_t = M0[i_t, j_t] + sigma * xi_t with
+d1 x d2 grid.  A uniform distribution stores only its shape, a product one
+its row and column marginals, and only an explicit one a d1 x d2 array;
+reading `probs` of a uniform or product distribution builds a d1 x d2
+array.  Each draw t observes Y_t = M0[i_t, j_t] + sigma * xi_t with
 fresh unit-variance noise per draw.  Both steps are seeded and reproducible:
 identical seeds give identical index sequences and identical noise.
 
@@ -10,7 +13,7 @@ numpy's `Generator.choice` with `p` draw for draw; its keys are sorted only
 to speed up the search (see `sample_indices`).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,39 +32,103 @@ NOISE_KINDS = ("gaussian", "laplace", "none")
 class SamplingDistribution:
     """Probabilities over the index grid, plus its flatness parameters.
 
+    What each kind stores:
+      "uniform"  -- nothing but the shape; every cell is 1/(d1*d2);
+      "product"  -- `row_marginals` and `col_marginals` as given (validated,
+                    not normalized), and `row_probs`, `col_probs`: the same
+                    normalized once; cell (k, l) is row_probs[k] * col_probs[l];
+      "explicit" -- `cell_probs`, the d1 x d2 probabilities, summing to 1.
+
     mu >= 1 measures how far the smallest cell probability sits below
     uniform (mu = 1 / (d1*d2*min prob)); L >= 1 how far the largest sits
-    above (L = d1*d2*max prob).  Uniform sampling has mu = L = 1.
+    above (L = d1*d2*max prob).  Uniform sampling has mu = L = 1.  Both are
+    closed forms in the marginals for uniform and product.
+
+    Zero cells are allowed here; `make_distribution` rejects them.
     """
 
     d1: int
     d2: int
-    probs: np.ndarray
     kind: str
+    row_marginals: np.ndarray | None = None
+    col_marginals: np.ndarray | None = None
+    cell_probs: np.ndarray | None = None
+    row_probs: np.ndarray | None = field(default=None, init=False, repr=False)
+    col_probs: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        probs = check_matrix(self.probs, "probs")
-        if probs.shape != (self.d1, self.d2):
-            raise ValidationError(
-                f"probs shape {probs.shape} does not match ({self.d1}, {self.d2})"
-            )
-        if (probs < 0).any():
-            raise ValidationError("probabilities must be nonnegative")
-        total = probs.sum()
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"probabilities must sum to 1, got {total!r}")
-        object.__setattr__(self, "probs", _frozen(probs))
+        if self.d1 < 1 or self.d2 < 1:
+            raise ValidationError(f"grid dimensions must be positive, got ({self.d1}, {self.d2})")
+        if self.kind not in _KIND_FIELDS:
+            raise ValidationError(f"unknown distribution kind {self.kind!r}")
+        for name in ("row_marginals", "col_marginals", "cell_probs"):
+            wanted = name in _KIND_FIELDS[self.kind]
+            if (getattr(self, name) is not None) != wanted:
+                verb = "requires" if wanted else "takes no"
+                raise ValidationError(f"{self.kind} distribution {verb} {name}")
+        if self.kind == "product":
+            row = _checked_marginal(self.row_marginals, self.d1, "row_marginals")
+            col = _checked_marginal(self.col_marginals, self.d2, "col_marginals")
+            object.__setattr__(self, "row_marginals", row)
+            object.__setattr__(self, "col_marginals", col)
+            object.__setattr__(self, "row_probs", _frozen(row / row.sum()))
+            object.__setattr__(self, "col_probs", _frozen(col / col.sum()))
+        elif self.kind == "explicit":
+            probs = check_matrix(self.cell_probs, "probs")
+            if probs.shape != (self.d1, self.d2):
+                raise ValidationError(
+                    f"probs shape {probs.shape} does not match ({self.d1}, {self.d2})"
+                )
+            if (probs < 0).any():
+                raise ValidationError("probabilities must be nonnegative")
+            total = probs.sum()
+            if abs(total - 1.0) > PROB_SUM_TOL:
+                raise ValidationError(f"probabilities must sum to 1, got {total!r}")
+            object.__setattr__(self, "cell_probs", _frozen(probs))
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The d1 x d2 cell probabilities.
+
+        An explicit distribution returns its stored, read-only array.  A
+        uniform or product one builds a new writable float64 d1 x d2 array
+        on every read: 8*d1*d2 bytes (128 MB at d1 = d2 = 4000).
+        """
+        if self.kind == "uniform":
+            return np.full((self.d1, self.d2), 1.0 / (self.d1 * self.d2))
+        if self.kind == "product":
+            return np.outer(self.row_probs, self.col_probs)
+        return self.cell_probs
+
+    def _min_max(self) -> tuple:
+        """The smallest and largest cell probability, as floats.
+
+        Rounding a product of nonnegative floats is monotone, so for a
+        product distribution these equal the dense min and max bit for bit.
+        """
+        if self.kind == "uniform":
+            p = 1.0 / (self.d1 * self.d2)
+            return p, p
+        if self.kind == "product":
+            return (float(self.row_probs.min() * self.col_probs.min()),
+                    float(self.row_probs.max() * self.col_probs.max()))
+        return float(self.cell_probs.min()), float(self.cell_probs.max())
 
     @property
     def mu(self) -> float:
-        pmin = float(self.probs.min())
+        pmin = self._min_max()[0]
         if pmin <= 0.0:
             return float("inf")
         return 1.0 / (self.d1 * self.d2 * pmin)
 
     @property
     def L(self) -> float:
-        return self.d1 * self.d2 * float(self.probs.max())
+        return self.d1 * self.d2 * self._min_max()[1]
+
+
+# The fields each kind of distribution is built from.
+_KIND_FIELDS = {"uniform": (), "product": ("row_marginals", "col_marginals"),
+                "explicit": ("cell_probs",)}
 
 
 @dataclass(frozen=True)
@@ -118,21 +185,13 @@ def make_distribution(kind: str, d1: int, d2: int, *, row_marginals=None,
     kind is one of:
       "uniform"  -- every cell 1/(d1*d2);
       "product"  -- probs[k,l] = row_marginals[k] * col_marginals[l]
-                    (marginals are normalized first);
+                    (marginals are kept as given and normalized for use);
       "explicit" -- probs given directly (normalized).
 
     Any zero cell is rejected: a cell that can never be observed makes the
     flatness parameter mu infinite.
     """
-    if d1 < 1 or d2 < 1:
-        raise ValidationError(f"grid dimensions must be positive, got ({d1}, {d2})")
-    if kind == "uniform":
-        p = np.full((d1, d2), 1.0 / (d1 * d2))
-    elif kind == "product":
-        row = _normalized_marginal(row_marginals, d1, "row_marginals")
-        col = _normalized_marginal(col_marginals, d2, "col_marginals")
-        p = np.outer(row, col)
-    elif kind == "explicit":
+    if kind == "explicit":
         if probs is None:
             raise ValidationError("explicit distribution requires probs")
         p = check_matrix(probs, "probs")
@@ -143,29 +202,29 @@ def make_distribution(kind: str, d1: int, d2: int, *, row_marginals=None,
         total = p.sum()
         if total <= 0:
             raise ValidationError("probabilities must have positive total")
-        p = p / total
-    else:
-        raise ValidationError(f"unknown distribution kind {kind!r}")
-    if (p <= 0).any():
+        probs = p / total
+    dist = SamplingDistribution(d1=d1, d2=d2, kind=kind, row_marginals=row_marginals,
+                                col_marginals=col_marginals, cell_probs=probs)
+    if dist._min_max()[0] <= 0:
         raise ValidationError(
             "distribution has a zero cell; every entry must be observable "
             "with positive probability"
         )
-    return SamplingDistribution(d1=d1, d2=d2, probs=p, kind=kind)
+    return dist
 
 
-def _normalized_marginal(m, length: int, name: str) -> np.ndarray:
-    if m is None:
-        raise ValidationError(f"product distribution requires {name}")
+def _checked_marginal(m, length: int, name: str) -> np.ndarray:
+    """`m` as a read-only float64 vector, checked but not normalized."""
     v = np.asarray(m, dtype=np.float64)
     if v.shape != (length,):
         raise ValidationError(f"{name} must have length {length}, got shape {v.shape}")
     if not np.isfinite(v).all() or (v < 0).any():
         raise ValidationError(f"{name} must be nonnegative and finite")
-    total = v.sum()
-    if total <= 0:
-        raise ValidationError(f"{name} must have positive total")
-    return v / total
+    with np.errstate(over="ignore"):
+        total = v.sum()
+    if not 0 < total < np.inf:
+        raise ValidationError(f"{name} must have a positive, finite total")
+    return _frozen(v)
 
 
 def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
@@ -177,10 +236,12 @@ def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
     same uniforms, the same CDF, the same search, no other random numbers.
     The keys are sorted only for the search (ascending keys keep numpy's
     binary search in cache); each result goes back to its draw's position.
+    A uniform or product distribution builds its flat probabilities for
+    this call only and turns them into the CDF in place.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    p = dist.probs.ravel()
+    p = dist.probs.ravel()  # writable only if built for this call
     # The checks Generator.choice makes on p.
     total = p.sum()
     if np.isnan(total):
@@ -190,7 +251,7 @@ def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
     if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):
         raise ValidationError(f"probabilities must sum to 1, got {total!r}")
     rng = _rng.stream_rng(seed, _rng.SAMPLING)
-    cdf = p.cumsum()
+    cdf = np.cumsum(p, out=p if p.flags.writeable else None)
     cdf /= cdf[-1]
     u = rng.random(n)
     order = np.argsort(u)
@@ -227,8 +288,8 @@ def observe(M0, indices, noise: NoiseModel, seed: int) -> ObservationSet:
 # naming the format.
 #
 # Observations: header "d1,d2,n", then n lines "i,j,y" (0-based indices).
-# Distribution: "d1,d2", then "uniform" | "product" + two marginal lines |
-# "explicit" + d1 rows of comma-separated probabilities.
+# Distribution: "d1,d2", then "uniform" | "product" + the two marginals as
+# given | "explicit" + d1 rows of comma-separated probabilities.
 
 _OBSERVATION_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("y", np.float64)])
 
@@ -266,10 +327,8 @@ def format_distribution(dist: SamplingDistribution) -> str:
         lines.append("uniform")
     elif dist.kind == "product":
         lines.append("product")
-        row = dist.probs.sum(axis=1)
-        col = dist.probs.sum(axis=0)
-        lines.append(",".join(f"{x:.17g}" for x in row))
-        lines.append(",".join(f"{x:.17g}" for x in col))
+        lines.append(",".join(f"{x:.17g}" for x in dist.row_marginals))
+        lines.append(",".join(f"{x:.17g}" for x in dist.col_marginals))
     else:
         lines.append("explicit")
         for row in dist.probs:
@@ -278,6 +337,13 @@ def format_distribution(dist: SamplingDistribution) -> str:
 
 
 def parse_distribution(text: str) -> SamplingDistribution:
+    """The distribution that `format_distribution` wrote.
+
+    Uniform and product files come back bit for bit: a product file holds
+    the marginals as they were given, and they are normalized again the same
+    way.  An explicit file holds the normalized probabilities, which
+    `make_distribution` normalizes once more, so their last bits may move.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ValidationError("distribution text needs a header and a kind line")

@@ -155,6 +155,14 @@ def test_experiment_bad_config_value_exits_one(tmp_path, capsys):
     assert "config line 5: bad value for 'grid.n'" in capsys.readouterr().err
 
 
+def test_experiment_file_sampling_without_file_exits_one(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text("truth.d1 = 10\ntruth.d2 = 10\ntruth.rank = 2\ntruth.alpha = 1.0\n"
+                      "sampling.kind = file\ngrid.n = 40\n")
+    assert main(["experiment", "--config", str(config)]) == 1
+    assert "config line 5: sampling.kind = file requires 'sampling.file'" in capsys.readouterr().err
+
+
 def test_theory_rates_stdout(capsys):
     code = main(["theory", "rates", "--alpha", "1", "--sigma", "1",
                  "--radius", "1.7320508075688772", "--d1", "50", "--d2", "50",

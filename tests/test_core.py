@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +9,7 @@ from maxnorm_completion import (
     Factorization,
     ValidationError,
     factor_norms,
+    make_distribution,
     matrix_norms,
     pi_weighted_sq_norm,
 )
@@ -119,6 +122,42 @@ def test_pi_weighted_point_mass():
 def test_pi_weighted_shape_mismatch():
     with pytest.raises(ValidationError):
         pi_weighted_sq_norm(np.eye(2), np.full((3, 3), 1.0 / 9))
+
+
+def _marginal_distributions(rng, d1, d2):
+    """A uniform and two product distributions: random and power-law marginals."""
+    return [make_distribution("uniform", d1, d2),
+            make_distribution("product", d1, d2, row_marginals=rng.uniform(0, 1, d1) + 1e-3,
+                              col_marginals=rng.uniform(0, 1, d2) + 1e-3),
+            make_distribution("product", d1, d2, row_marginals=np.arange(1, d1 + 1) ** -1.5,
+                              col_marginals=np.arange(d2, 0, -1) ** -0.7)]
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 1), (1, 7), (6, 1), (37, 53), (400, 300)])
+def test_pi_weighted_marginal_forms_match_dense_einsum(d1, d2):
+    rng = np.random.default_rng(d1 * 1000 + d2)
+    M = rng.normal(size=(d1, d2)) * rng.uniform(0.1, 10.0)
+    M[rng.random((d1, d2)) < 0.1] = 0.0
+    for dist in _marginal_distributions(rng, d1, d2):
+        dense = np.einsum("ij,ij,ij->", dist.probs, M, M)
+        assert pi_weighted_sq_norm(M, dist) == pytest.approx(dense, rel=1e-12, abs=0)
+    with pytest.raises(ValidationError, match="does not match"):
+        pi_weighted_sq_norm(np.ones((d1 + 1, d2)), dist)
+
+
+def test_pi_weighted_marginal_forms_build_no_dense_temporary():
+    # check_matrix's finiteness mask (d1*d2 bytes, 3.8 MB) is the only
+    # d1 x d2 temporary; a float64 one would take 30.5 MB.
+    d = 2000
+    M = np.random.default_rng(4).normal(size=(d, d))
+    for dist in _marginal_distributions(np.random.default_rng(5), d, d):
+        tracemalloc.start()
+        try:
+            pi_weighted_sq_norm(M, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, (dist.kind, peak)
 
 
 def test_factorization_column_mismatch():

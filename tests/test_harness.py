@@ -333,6 +333,14 @@ def test_parse_config_names_the_line_and_key_of_a_bad_value(line, key):
         parse_config_text("\n".join(lines))
 
 
+def test_parse_config_file_sampling_requires_its_file():
+    text = CONFIG_TEXT.replace("sampling.kind = product", "sampling.kind = file")
+    kind_line = text.splitlines().index("sampling.kind = file") + 1
+    with pytest.raises(ValidationError, match=re.escape(
+            f"config line {kind_line}: sampling.kind = file requires 'sampling.file'")):
+        parse_config_text(text)
+
+
 def test_fixed_radius_rule():
     cfg = parse_config_text(CONFIG_TEXT.replace(
         "constraints.radius_rule = alpha_sqrt_rank",

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -50,10 +51,82 @@ def test_marginals_are_normalized_before_use():
     assert dist.probs[0, 0] == pytest.approx((1 / 3) * 0.5, rel=1e-12)
 
 
-def _with_zero_cells(kind, weights):
-    """`weights` normalized, zero cells allowed: make_distribution rejects those."""
-    w = np.asarray(weights, dtype=np.float64)
-    return SamplingDistribution(d1=w.shape[0], d2=w.shape[1], probs=w / w.sum(), kind=kind)
+def _with_zero_cells(kind, *weights):
+    """Zero cells allowed, which make_distribution rejects: explicit takes one
+    d1 x d2 weight array (normalized here), product its two marginals."""
+    if kind == "product":
+        row, col = weights
+        return SamplingDistribution(d1=len(row), d2=len(col), kind=kind,
+                                    row_marginals=row, col_marginals=col)
+    w = np.asarray(weights[0], dtype=np.float64)
+    return SamplingDistribution(d1=w.shape[0], d2=w.shape[1], kind=kind, cell_probs=w / w.sum())
+
+
+@st.composite
+def _marginal_pairs(draw, weights):
+    """Row and column weight vectors of lengths 1-8, each with a positive total."""
+    return tuple(np.array(draw(st.lists(weights, min_size=size, max_size=size)
+                               .filter(lambda v: sum(v) > 0)))
+                 for size in (draw(st.integers(1, 8)), draw(st.integers(1, 8))))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+# Subnormal to 1e300: cell ratios far beyond the float range, and products
+# that round to zero.
+@settings(deadline=None, max_examples=300)
+@given(marginals=_marginal_pairs(st.floats(0.0, 1e300)))
+@example(marginals=(np.array([5e-324, 1.0]), np.array([0.25, 1.0])))  # 1e-324 rounds to 0
+@example(marginals=(np.array([1e-300, 1e300]), np.array([1e-20, 1.0, 3.0])))
+def test_flatness_closed_forms_equal_dense_formulas(marginals):
+    dist = _with_zero_cells("product", *marginals)
+    probs = dist.probs
+    d1d2 = dist.d1 * dist.d2
+    pmin = float(probs.min())
+    mu = float("inf") if pmin <= 0.0 else 1.0 / (d1d2 * pmin)
+    assert dist.mu.hex() == mu.hex()
+    assert dist.L.hex() == (d1d2 * float(probs.max())).hex()
+    if (probs <= 0).any():
+        with pytest.raises(ValidationError, match="zero cell"):
+            make_distribution("product", dist.d1, dist.d2, row_marginals=marginals[0],
+                              col_marginals=marginals[1])
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 1), (37, 53), (400, 300)])
+def test_uniform_flatness_closed_forms_equal_dense_formulas(d1, d2):
+    dist = make_distribution("uniform", d1, d2)
+    assert dist.mu.hex() == (1.0 / (d1 * d2 * float(dist.probs.min()))).hex()
+    assert dist.L.hex() == (d1 * d2 * float(dist.probs.max())).hex()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "product"])
+def test_make_distribution_stores_no_dense_array(kind):
+    d = 2000
+    kw = {} if kind == "uniform" else dict(row_marginals=np.arange(1.0, d + 1),
+                                           col_marginals=np.ones(d))
+    tracemalloc.start()
+    try:
+        dist = make_distribution(kind, d, d, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a float64 d x d array takes 30.5 MB
+    assert dist.probs.shape == (d, d) and dist.probs.flags.writeable  # built on each read
+
+
+def test_distribution_fields_follow_the_kind():
+    with pytest.raises(ValidationError, match="unknown distribution kind"):
+        SamplingDistribution(d1=2, d2=2, kind="triangular")
+    with pytest.raises(ValidationError, match="requires col_marginals"):
+        SamplingDistribution(d1=2, d2=2, kind="product", row_marginals=[1, 1])
+    with pytest.raises(ValidationError, match="takes no cell_probs"):
+        SamplingDistribution(d1=2, d2=2, kind="uniform", cell_probs=np.full((2, 2), 0.25))
+    with pytest.raises(ValidationError, match="positive, finite total"):
+        make_distribution("product", 2, 2, row_marginals=[1e308, 1e308], col_marginals=[1, 1])
+    with pytest.raises(ValidationError, match="grid dimensions"):
+        make_distribution("uniform", 0, 3)
 
 
 def test_explicit_zero_cell_rejected_when_positivity_required():
@@ -129,7 +202,7 @@ def _distributions(draw):
         return make_distribution("uniform", d1, d2)
     if kind == "product":
         row, col = np.array(draw(_weight_lists(d1))), np.array(draw(_weight_lists(d2)))
-        return _with_zero_cells("product", np.outer(row / row.sum(), col / col.sum()))
+        return _with_zero_cells("product", row, col)
     if kind == "point":
         return _point_mass(d1, d2, draw(st.integers(0, d1 - 1)), draw(st.integers(0, d2 - 1)))
     return _with_zero_cells("explicit", np.reshape(draw(_weight_lists(d1 * d2)), (d1, d2)))
@@ -177,12 +250,12 @@ def test_sample_indices_pinned_draws():
 
 @pytest.mark.parametrize("bad", [np.nan, -0.25, 0.5])
 def test_sample_indices_rechecks_probabilities(bad):
-    dist = make_distribution("uniform", 2, 2)
+    dist = make_distribution("explicit", 2, 2, probs=np.ones((2, 2)))
     probs = np.full((2, 2), 0.25)
     probs[0, 0] = bad
     if bad < 0:
         probs[0, 1] = 0.75  # a negative cell with the total still 1
-    object.__setattr__(dist, "probs", probs)
+    object.__setattr__(dist, "cell_probs", probs)
     with pytest.raises(ValidationError):
         sample_indices(dist, 3, seed=0)
 
@@ -334,6 +407,19 @@ def test_distribution_round_trip(tmp_path):
         back = load_distribution(path)
         assert back.kind == dist.kind
         assert np.allclose(back.probs, dist.probs, rtol=0, atol=1e-15)
+
+
+@settings(deadline=None, max_examples=200)
+@given(marginals=_marginal_pairs(st.floats(0.0, 1.0).map(lambda w: w + 1e-3)))
+def test_product_distribution_round_trip_is_bit_identical(marginals):
+    row, col = marginals
+    dist = make_distribution("product", row.size, col.size, row_marginals=row, col_marginals=col)
+    back = parse_distribution(format_distribution(dist))
+    assert (back.kind, back.d1, back.d2) == ("product", dist.d1, dist.d2)
+    assert np.array_equal(_bits(back.row_marginals), _bits(row))  # as given, not normalized
+    assert np.array_equal(_bits(back.col_marginals), _bits(col))
+    assert np.array_equal(_bits(back.probs), _bits(dist.probs))
+    assert (back.mu, back.L) == (dist.mu, dist.L)
 
 
 def test_distribution_parse_errors():
