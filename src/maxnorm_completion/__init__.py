@@ -4,25 +4,18 @@ Recovers approximately low-rank matrices from noisy, non-uniformly sampled
 entries by minimizing the empirical quadratic loss subject to an
 elementwise bound and a factor row-norm (max-norm) bound, solved in
 factored form by projected gradient descent.  Also ships the rank-estimation
-search used to pick the constraint radius, and verification tools for the
-norm inequalities, packing construction, Rademacher complexity bound and
-risk-rate formulas that back the estimator.
+search used to pick the constraint radius, a seeded experiment harness that
+checks the error's decay in the sample size, and calculators for the
+paper's risk rates.
 """
 
 from .core import (
     ConstraintSet,
     Factorization,
-    FactorNormReport,
-    GROTHENDIECK_INTERVAL,
-    GROTHENDIECK_UPPER,
-    NormReport,
     ValidationError,
-    factor_norms,
     load_dense,
-    matrix_norms,
     pi_weighted_sq_norm,
     save_dense,
-    two_inf_norm,
 )
 from .sampling import (
     NoiseModel,
@@ -57,16 +50,9 @@ from .model_select import (
     spectral_magnitude,
 )
 from .theory import (
-    PackingConfig,
-    PackingReport,
-    RademacherReport,
     RateParams,
     RateReport,
     format_report,
-    packing_count,
-    packing_generate,
-    packing_verify,
-    rademacher_sign_sup,
     rate_bounds,
 )
 from .harness import (

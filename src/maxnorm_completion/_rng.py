@@ -8,13 +8,11 @@ changing the noise model never perturbs which indices are drawn.
 
 import numpy as np
 
-# Stream ids; fixed forever so seeded runs stay reproducible.  Id 3 is
-# unused; the other ids keep their values.
+# Stream ids; fixed forever so seeded runs stay reproducible.  Ids 3, 4
+# and 5 belonged to deleted tools and are retired: do not reuse them.
 SAMPLING = 0
 NOISE = 1
 INIT = 2
-PACKING = 4
-RADEMACHER = 5
 GROUND_TRUTH = 6
 
 

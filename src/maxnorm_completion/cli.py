@@ -4,8 +4,8 @@ Subcommands wire the file formats to the library: `simulate` writes a
 ground truth and noisy observations, `fit` completes a matrix from an
 observation file, `rank-estimate` runs the spectral rank search,
 `experiment` executes a seeded trial grid from a config file, and
-`theory` exposes the packing / Rademacher / rate tools as key=value
-reports.  Exit codes: 0 success, 1 validation error.
+`theory rates` writes the paper's risk rates as a key=value report.
+Exit codes: 0 success, 1 validation error.
 """
 
 import argparse
@@ -22,10 +22,7 @@ from .sampling import (NoiseModel, load_distribution, load_observations,
                        save_distribution, save_observations)
 from .solver import (DEFAULT_MAX_ITERS, DEFAULT_TAU, DEFAULT_TOL, SolverConfig,
                      default_factor_width, fit_pgd)
-from .theory import (PackingConfig, RateParams, format_report,
-                     packing_generate, packing_report_items, packing_verify,
-                     rademacher_report_items, rademacher_sign_sup,
-                     rate_bounds, rate_report_items)
+from .theory import RateParams, format_report, rate_bounds, rate_report_items
 from .harness import make_ground_truth
 
 
@@ -85,26 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a seeded trial grid from a config file")
     p.add_argument("--config", required=True)
 
-    p = sub.add_parser("theory", help="packing / rademacher / rate reports")
+    p = sub.add_parser("theory", help="risk-rate report")
     tsub = p.add_subparsers(dest="tool", required=True)
-
-    tp = tsub.add_parser("packing", help="generate and verify a packing sample")
-    tp.add_argument("--d1", type=int, required=True)
-    tp.add_argument("--d2", type=int, required=True)
-    tp.add_argument("--alpha", type=float, default=1.0)
-    tp.add_argument("--gamma", type=float, default=1.0)
-    tp.add_argument("--r", type=float, required=True)
-    tp.add_argument("--count-cap", type=int, default=100)
-    tp.add_argument("--seed", type=int, default=0)
-    tp.add_argument("--out", default=None)
-
-    tr = tsub.add_parser("rademacher", help="brute-force sign-class complexity")
-    tr.add_argument("--d1", type=int, required=True)
-    tr.add_argument("--d2", type=int, required=True)
-    tr.add_argument("--n", type=int, required=True, help="uniform index draws")
-    tr.add_argument("--draws", type=int, default=2000)
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--out", default=None)
 
     tb = tsub.add_parser("rates", help="closed-form risk-rate calculators")
     tb.add_argument("--alpha", type=float, required=True)
@@ -193,19 +172,6 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    if args.tool == "packing":
-        cfg = PackingConfig(d1=args.d1, d2=args.d2, alpha=args.alpha,
-                            gamma=args.gamma, r=args.r, count_cap=args.count_cap)
-        mats = packing_generate(cfg, args.seed)
-        report = packing_verify(mats, cfg.alpha, cfg.gamma)
-        _emit(format_report(packing_report_items(cfg, report)), args.out)
-        return 0
-    if args.tool == "rademacher":
-        dist = make_distribution("uniform", args.d1, args.d2)
-        idx = sample_indices(dist, args.n, args.seed)
-        rep = rademacher_sign_sup(args.d1, args.d2, idx, args.draws, args.seed)
-        _emit(format_report(rademacher_report_items(args.d1, args.d2, rep)), args.out)
-        return 0
     params = RateParams(alpha=args.alpha, sigma=args.sigma, R=args.radius,
                         d1=args.d1, d2=args.d2, n=args.n, mu=args.mu, L=args.L)
     _emit(format_report(rate_report_items(params, rate_bounds(params))), args.out)

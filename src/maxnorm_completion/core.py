@@ -1,24 +1,16 @@
-"""Matrix/factorization value types and the norms used throughout.
+"""Matrix/factorization value types, input checks and the dense text format.
 
 Matrices are plain 2-D float64 ndarrays.  A factorization is a pair
-``(U, V)`` with product ``U @ V.T``; its defining quantity here is the
-product of maximum row norms ``|U|_{2,inf} * |V|_{2,inf}``, which upper
-bounds the factorization norm (max-norm) of the product.  The exact
-max-norm is a semidefinite program and is deliberately not computed;
-the toolkit only ever needs the elementwise lower bound and per-factor
-upper bounds.
+``(U, V)`` with product ``U @ V.T``; a ConstraintSet bounds the product
+elementwise by alpha and the squared maximum row norms of both factors by
+a radius, which upper bounds the factorization norm (max-norm) of the
+product.  pi_weighted_sq_norm scores an error matrix under a sampling
+distribution.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-# Grothendieck's constant is only known to lie in this interval; the upper
-# end is used whenever an upper bound is needed.
-GROTHENDIECK_INTERVAL = (1.67, 1.79)
-GROTHENDIECK_UPPER = GROTHENDIECK_INTERVAL[1]
-
-DEFAULT_RANK_TOLERANCE = 1e-10
 
 
 class ValidationError(ValueError):
@@ -43,7 +35,7 @@ def check_matrix(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Factorization:
     """Factor pair (U, V) with completed matrix U @ V.T.
 
@@ -104,83 +96,25 @@ class ConstraintSet:
             )
 
 
-@dataclass(frozen=True)
-class NormReport:
-    frobenius: float
-    linf: float
-    trace: float
-    rank_numeric: int
-
-
-@dataclass(frozen=True)
-class FactorNormReport:
-    two_inf_U: float
-    two_inf_V: float
-    max_norm_upper: float
-
-
-def matrix_norms(M) -> NormReport:
-    """Frobenius, elementwise max, trace norm and numeric rank of M.
-
-    The trace norm is the sum of singular values from a full SVD (matrices
-    here are desk-scale).  Singular values below
-    DEFAULT_RANK_TOLERANCE * sigma_max count as zero for the numeric rank.
-    """
-    A = check_matrix(M)
-    s = np.linalg.svd(A, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > DEFAULT_RANK_TOLERANCE * smax)) if smax > 0 else 0
-    return NormReport(
-        frobenius=float(np.linalg.norm(A)),
-        linf=float(np.abs(A).max()),
-        trace=float(s.sum()),
-        rank_numeric=rank,
-    )
-
-
-def two_inf_norm(A) -> float:
-    """Maximum row l2 norm."""
-    A = check_matrix(A)
-    return float(np.sqrt((A * A).sum(axis=1).max()))
-
-
-def factor_norms(F: Factorization) -> FactorNormReport:
-    """Row-norm report for a factor pair.
-
-    max_norm_upper = |U|_{2,inf} * |V|_{2,inf} upper-bounds the factorization
-    norm of U @ V.T, hence also its elementwise max.
-    """
-    tu = two_inf_norm(F.U)
-    tv = two_inf_norm(F.V)
-    return FactorNormReport(two_inf_U=tu, two_inf_V=tv, max_norm_upper=tu * tv)
-
-
 def pi_weighted_sq_norm(M, distribution) -> float:
     """Sampling-weighted squared norm: sum_kl pi[k,l] * M[k,l]^2.
 
-    `distribution` may be a SamplingDistribution or a bare probability array
-    of the same shape as M.  Uniform and product distributions are weighted
-    through their marginals, with no d1 x d2 temporary: sum(M^2) / (d1*d2)
-    and row_probs @ (M^2 @ col_probs), each row summed in one pass.
+    Uniform and product distributions are weighted through their
+    marginals, with no d1 x d2 temporary: sum(M^2) / (d1*d2) and
+    row_probs @ (M^2 @ col_probs), each row summed in one pass.
     """
     A = check_matrix(M)
-    kind = getattr(distribution, "kind", "explicit")
-    if kind != "explicit":
-        shape = (distribution.d1, distribution.d2)
-        if shape != A.shape:
-            raise ValidationError(
-                f"distribution shape {shape} does not match matrix shape {A.shape}"
-            )
-        if kind == "uniform":
-            return float(np.einsum("ij,ij->", A, A) / A.size)
+    shape = (distribution.d1, distribution.d2)
+    if shape != A.shape:
+        raise ValidationError(
+            f"distribution shape {shape} does not match matrix shape {A.shape}"
+        )
+    if distribution.kind == "uniform":
+        return float(np.einsum("ij,ij->", A, A) / A.size)
+    if distribution.kind == "product":
         return float(distribution.row_probs @ np.einsum("ij,ij,j->i", A, A,
                                                         distribution.col_probs))
-    probs = np.asarray(getattr(distribution, "probs", distribution), dtype=np.float64)
-    if probs.shape != A.shape:
-        raise ValidationError(
-            f"distribution shape {probs.shape} does not match matrix shape {A.shape}"
-        )
-    return float(np.einsum("ij,ij,ij->", probs, A, A))
+    return float(np.einsum("ij,ij,ij->", distribution.cell_probs, A, A))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +147,8 @@ def format_dense(M) -> str:
     lines = [f"{d1},{d2}"]
     for row in A:
         lines.append(template % tuple(row.tolist()))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def parse_dense(text: str) -> np.ndarray:

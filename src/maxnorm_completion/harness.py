@@ -16,7 +16,8 @@ import numpy as np
 
 from . import _rng
 from .core import ConstraintSet, ValidationError, _parse_rows, check_matrix, pi_weighted_sq_norm
-from .sampling import NoiseModel, SamplingDistribution, make_distribution, observe, sample_indices
+from .sampling import (NOISE_KINDS, NoiseModel, SamplingDistribution, make_distribution, observe,
+                       sample_indices)
 from .solver import DEFAULT_MAX_ITERS, DEFAULT_TAU, DEFAULT_TOL, SolverConfig, fit_pgd
 
 CSV_HEADER = ("n,replicate,seed,per_entry_mse,pi_weighted_mse,runtime_ms,"
@@ -241,6 +242,15 @@ def _list_of(convert):
     return lambda text: [convert(t) for t in text.split(",")]
 
 
+def _one_of(choices):
+    """A converter that passes text through if it is one of `choices`."""
+    def convert(text):
+        if text not in choices:
+            raise ValueError(f"must be one of {choices}, got {text!r}")
+        return text
+    return convert
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse an experiment config.
 
@@ -299,7 +309,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     alpha = get("truth.alpha", float)
     truth_seed = get("truth.seed", int, 0)
 
-    kind = kv.get("sampling.kind", "uniform")
+    kind = get("sampling.kind", _one_of(("uniform", "product", "file")), "uniform")
     if kind == "file":
         from .sampling import load_distribution
         dist = load_distribution(get("sampling.file", str, required_by="sampling.kind"))
@@ -307,12 +317,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         dist = make_distribution("product", d1, d2,
                                  row_marginals=get("sampling.row_marginals", _list_of(float)),
                                  col_marginals=get("sampling.col_marginals", _list_of(float)))
-    elif kind == "uniform":
-        dist = make_distribution("uniform", d1, d2)
     else:
-        raise ValidationError(f"unsupported sampling.kind {kind!r} in config")
+        dist = make_distribution("uniform", d1, d2)
 
-    noise = NoiseModel(kind=kv.get("noise.kind", "none"), sigma=get("noise.sigma", float, 0.0))
+    noise = NoiseModel(kind=get("noise.kind", _one_of(NOISE_KINDS), "none"),
+                       sigma=get("noise.sigma", float, 0.0))
 
     n_grid = tuple(get("grid.n", _list_of(int)))
     replicates = get("grid.replicates", int, 1)

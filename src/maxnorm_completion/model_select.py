@@ -56,7 +56,7 @@ class RankSearchConfig:
             raise ValidationError(f"r_max must be >= 2, got {self.r_max}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankEstimate:
     r_star: int
     errors: tuple  # ((r, e_r), ...) for r = 2..r_max
@@ -137,10 +137,12 @@ def estimate_rank(P: PartialMatrix, cfg: RankSearchConfig) -> RankEstimate:
 # Report format: one "r,e_r" line per candidate, a line with the chosen r,
 # then the completed matrix in the dense interchange format.
 
+def _rank_report_head(est: RankEstimate) -> str:
+    return "".join(f"{r},{e:.17g}\n" for r, e in est.errors) + f"{est.r_star}\n"
+
+
 def format_rank_report(est: RankEstimate) -> str:
-    lines = [f"{r},{e:.17g}" for r, e in est.errors]
-    lines.append(str(est.r_star))
-    return "\n".join(lines) + "\n" + format_dense(est.chosen)
+    return _rank_report_head(est) + format_dense(est.chosen)
 
 
 def parse_rank_report(text: str):
@@ -160,7 +162,8 @@ def parse_rank_report(text: str):
 
 def save_rank_report(path, est: RankEstimate) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_rank_report(est))
+        fh.write(_rank_report_head(est))  # two writes: no copy of the dense text
+        fh.write(format_dense(est.chosen))
 
 
 def load_rank_report(path):

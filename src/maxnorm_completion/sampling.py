@@ -28,7 +28,7 @@ LAPLACE_UNIT_SCALE = 1.0 / np.sqrt(2.0)
 NOISE_KINDS = ("gaussian", "laplace", "none")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplingDistribution:
     """Probabilities over the index grid, plus its flatness parameters.
 
@@ -145,7 +145,7 @@ class NoiseModel:
             raise ValidationError(f"sigma must be nonnegative and finite, got {self.sigma}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationSet:
     """n index/value pairs from the observation model, with the grid shape."""
 

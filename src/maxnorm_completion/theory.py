@@ -1,18 +1,9 @@
-"""Constructive checks of the estimator's supporting mathematics.
+"""The paper's risk rates as calculators, and the key=value report format.
 
-Three tools:
-
-  * packing_generate / packing_verify -- the probabilistic packing-set
-    construction behind the minimax lower bound: sign matrices with a
-    block of i.i.d. rows replicated cyclically, pairwise well separated
-    in normalized Frobenius distance with overwhelming probability.
-  * rademacher_sign_sup -- brute-force empirical Rademacher complexity of
-    the rank-one sign-matrix class over a given index sample, which lower
-    bounds the unit-ball complexity (the hull sits inside the ball) and
-    must stay below the classical 12*sqrt((d1+d2)/n) bound.
-  * rate_bounds -- the closed-form upper/lower risk rates as calculators,
-    with the absolute constant of the upper bound omitted (it is unknown;
-    consumers compare ratios and slopes, never absolute levels).
+rate_bounds evaluates the closed-form upper and lower risk rates, with the
+absolute constant of the upper bound omitted (it is unknown; consumers
+compare ratios and slopes, never absolute levels).  format_report renders
+any report as key=value lines; the CLI writes its reports with it.
 """
 
 import math
@@ -20,76 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _rng
-from .core import GROTHENDIECK_UPPER, ValidationError, check_matrix
-
-RADEMACHER_DIM_CAP = 24  # enumeration is 2^(d1+d2-1) sign matrices
-_B_INT_TOL = 1e-9
-
-ERC_BOUND_CONST = 12.0
-
-
-@dataclass(frozen=True)
-class PackingConfig:
-    """Parameters of the packing construction.
-
-    gamma in (0, 1] trades separation against rank: the generated matrices
-    have entries +-alpha*gamma and rank at most B = r / gamma^2, which must
-    be a positive integer <= min(d1, d2).
-    """
-
-    d1: int
-    d2: int
-    alpha: float
-    gamma: float
-    r: float
-    count_cap: int
-
-    def __post_init__(self):
-        if self.d1 < 1 or self.d2 < 1:
-            raise ValidationError(f"dimensions must be positive, got ({self.d1}, {self.d2})")
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValidationError(f"alpha must be positive, got {self.alpha}")
-        if not (0 < self.gamma <= 1):
-            raise ValidationError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if not (np.isfinite(self.r) and self.r > 0):
-            raise ValidationError(f"r must be positive, got {self.r}")
-        b = self.r / self.gamma ** 2
-        if abs(b - round(b)) > _B_INT_TOL or round(b) < 1:
-            raise ValidationError(f"r / gamma^2 = {b} must be a positive integer")
-        if round(b) > min(self.d1, self.d2):
-            raise ValidationError(
-                f"block height {round(b)} exceeds min(d1, d2) = {min(self.d1, self.d2)}"
-            )
-        if self.count_cap < 1:
-            raise ValidationError(f"count_cap must be >= 1, got {self.count_cap}")
-
-    @property
-    def B(self) -> int:
-        return int(round(self.r / self.gamma ** 2))
-
-
-@dataclass(frozen=True)
-class PackingReport:
-    count: int
-    property_i_ok: tuple  # per matrix: entries exactly +-gamma*alpha
-    min_pairwise_sq: float  # min over pairs of |Mi - Mj|_F^2 / (d1*d2)
-    separation_threshold: float  # gamma^2 alpha^2 / 2
-    pairs_ok: bool
-    failing_pair: tuple | None
-
-    @property
-    def all_ok(self) -> bool:
-        return all(self.property_i_ok) and self.pairs_ok
-
-
-@dataclass(frozen=True)
-class RademacherReport:
-    mc_mean: float  # Monte-Carlo estimate of the sign-class complexity
-    bound: float  # 12 * sqrt((d1 + d2) / n)
-    kg_upper: float  # Grothendieck-scaled upper estimate for the unit ball
-    draws: int
-    n: int
+from .core import ValidationError
 
 
 @dataclass(frozen=True)
@@ -129,127 +51,6 @@ class RateReport:
     sample_condition_ok: bool
 
 
-def packing_count(cfg: PackingConfig) -> int:
-    """min(count_cap, ceil(exp(r * max(d1,d2) / (16 gamma^2)))), overflow-safe."""
-    expo = cfg.r * max(cfg.d1, cfg.d2) / (16.0 * cfg.gamma ** 2)
-    if expo >= math.log(cfg.count_cap) + 1.0:
-        return cfg.count_cap
-    return min(cfg.count_cap, int(math.ceil(math.exp(expo))))
-
-
-def packing_generate(cfg: PackingConfig, seed: int) -> np.ndarray:
-    """Generate the capped packing sample as a (count, d1, d2) array.
-
-    Each matrix has entries +-alpha*gamma: the first B rows are i.i.d.
-    symmetric signs and row k repeats row k mod B.  When d1 > d2 the
-    construction runs on the transposed shape (the separation argument
-    assumes the replicated axis is the shorter one) and transposes back.
-    """
-    count = packing_count(cfg)
-    rng = _rng.stream_rng(seed, _rng.PACKING)
-    ds, dl = min(cfg.d1, cfg.d2), max(cfg.d1, cfg.d2)  # short axis carries the blocks
-    base = (2.0 * rng.integers(0, 2, size=(count, cfg.B, dl)) - 1.0) * (cfg.alpha * cfg.gamma)
-    mats = base[:, np.arange(ds) % cfg.B, :]
-    if cfg.d1 > cfg.d2:
-        mats = mats.transpose(0, 2, 1)
-    return np.ascontiguousarray(mats)
-
-
-def packing_verify(mats, alpha: float, gamma: float) -> PackingReport:
-    """Check the two packing properties on a sample of matrices.
-
-    Property (i) per matrix: every entry is exactly +-gamma*alpha (which
-    forces the elementwise max and the normalized squared Frobenius norm).
-    Property (ii) per pair: normalized squared distance strictly above
-    gamma^2 alpha^2 / 2.  Failures are reported, not raised; the
-    probabilistic construction permits regeneration.
-    """
-    A = np.asarray(mats, dtype=np.float64)
-    if A.ndim != 3 or A.shape[0] == 0:
-        raise ValidationError(f"expected a nonempty (count, d1, d2) array, got {A.shape}")
-    count, d1, d2 = A.shape
-    level = alpha * gamma
-    prop_i = tuple(bool(np.all(np.abs(A[i]) == level)) for i in range(count))
-    threshold = gamma ** 2 * alpha ** 2 / 2.0
-    if count == 1:
-        return PackingReport(count=1, property_i_ok=prop_i, min_pairwise_sq=float("inf"),
-                             separation_threshold=threshold, pairs_ok=True, failing_pair=None)
-    flat = A.reshape(count, d1 * d2)
-    sq = (flat * flat).sum(axis=1)
-    gram = flat @ flat.T
-    dist_sq = (sq[:, None] + sq[None, :] - 2.0 * gram) / (d1 * d2)
-    iu = np.triu_indices(count, k=1)
-    pair_d = dist_sq[iu]
-    amin = int(np.argmin(pair_d))
-    min_pair = (int(iu[0][amin]), int(iu[1][amin]))
-    min_d = float(pair_d[amin])
-    ok = min_d > threshold
-    return PackingReport(count=count, property_i_ok=prop_i, min_pairwise_sq=min_d,
-                         separation_threshold=threshold, pairs_ok=ok,
-                         failing_pair=None if ok else min_pair)
-
-
-def _sign_vectors(m: int) -> np.ndarray:
-    """All 2^m sign vectors of length m, as a (2^m, m) float array."""
-    ids = np.arange(2 ** m, dtype=np.uint32)
-    bits = (ids[:, None] >> np.arange(m)) & 1
-    return 2.0 * bits - 1.0
-
-
-def rademacher_sign_sup(d1: int, d2: int, indices, epsilon_draws: int,
-                        seed: int) -> RademacherReport:
-    """Monte-Carlo empirical Rademacher complexity of rank-one sign matrices.
-
-    For each sign draw epsilon the supremum of |sum_t eps_t M[i_t, j_t]|
-    over all rank-one sign matrices M = u v^T is computed exactly: with
-    A[k,l] = sum of eps_t landing on (k,l), the supremum is
-    max over sign vectors v of |A v|_1 (enumerating the shorter axis).
-    Returns (2/n) * average supremum, the classical dimension bound, and
-    the Grothendieck-scaled upper estimate for the full unit ball.
-    """
-    if d1 < 1 or d2 < 1:
-        raise ValidationError(f"dimensions must be positive, got ({d1}, {d2})")
-    if d1 + d2 > RADEMACHER_DIM_CAP:
-        raise ValidationError(
-            f"d1 + d2 = {d1 + d2} exceeds the enumeration cap {RADEMACHER_DIM_CAP}"
-        )
-    if epsilon_draws < 1:
-        raise ValidationError(f"epsilon_draws must be >= 1, got {epsilon_draws}")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 2 or idx.shape[1] != 2 or idx.shape[0] == 0:
-        raise ValidationError(f"indices must have shape (n, 2), got {idx.shape}")
-    if (idx[:, 0] < 0).any() or (idx[:, 0] >= d1).any() \
-            or (idx[:, 1] < 0).any() or (idx[:, 1] >= d2).any():
-        raise ValidationError("indices out of range")
-    n = idx.shape[0]
-    rng = _rng.stream_rng(seed, _rng.RADEMACHER)
-    flat = idx[:, 0] * d2 + idx[:, 1]
-    # Enumerate sign vectors along the shorter axis.
-    transpose = d2 > d1
-    m = d1 if transpose else d2
-    signs = _sign_vectors(m)  # (2^m, m)
-    sups = np.empty(epsilon_draws)
-    chunk = max(1, int(2 ** 22 // max(1, (d1 + d2) * signs.shape[0])))
-    done = 0
-    while done < epsilon_draws:
-        c = min(chunk, epsilon_draws - done)
-        eps = 2.0 * rng.integers(0, 2, size=(c, n)) - 1.0
-        offsets = (np.arange(c)[:, None] * (d1 * d2) + flat[None, :]).ravel()
-        agg = np.bincount(offsets, weights=eps.ravel(),
-                          minlength=c * d1 * d2).reshape(c, d1, d2)
-        if transpose:
-            agg = agg.transpose(0, 2, 1)
-        # (c, big, 2^m) contraction; sup_u,v |u^T A v| = max_v |A v|_1
-        prods = agg @ signs.T
-        sups[done:done + c] = np.abs(prods).sum(axis=1).max(axis=1)
-        done += c
-    mc_mean = float(2.0 / n * sups.mean())
-    bound = ERC_BOUND_CONST * math.sqrt((d1 + d2) / n)
-    return RademacherReport(mc_mean=mc_mean, bound=bound,
-                            kg_upper=GROTHENDIECK_UPPER * mc_mean,
-                            draws=epsilon_draws, n=n)
-
-
 def rate_bounds(p: RateParams) -> RateReport:
     """Closed-form risk-rate calculators for the per-entry squared loss.
 
@@ -286,27 +87,6 @@ def format_report(items) -> str:
             text = str(value)
         lines.append(f"{key}={text}")
     return "\n".join(lines) + "\n"
-
-
-def packing_report_items(cfg: PackingConfig, report: PackingReport):
-    return [
-        ("d1", cfg.d1), ("d2", cfg.d2), ("alpha", cfg.alpha), ("gamma", cfg.gamma),
-        ("r", cfg.r), ("block_rows", cfg.B), ("count", report.count),
-        ("property_i_all_ok", all(report.property_i_ok)),
-        ("min_pairwise_normalized_sq", report.min_pairwise_sq),
-        ("separation_threshold", report.separation_threshold),
-        ("pairs_ok", report.pairs_ok),
-        ("failing_pair", "none" if report.failing_pair is None
-         else f"{report.failing_pair[0]}-{report.failing_pair[1]}"),
-    ]
-
-
-def rademacher_report_items(d1: int, d2: int, rep: RademacherReport):
-    return [
-        ("d1", d1), ("d2", d2), ("n", rep.n), ("draws", rep.draws),
-        ("mc_mean", rep.mc_mean), ("bound", rep.bound), ("kg_upper", rep.kg_upper),
-        ("within_bound", rep.mc_mean <= rep.bound),
-    ]
 
 
 def rate_report_items(p: RateParams, rep: RateReport):

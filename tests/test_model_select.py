@@ -245,6 +245,7 @@ def test_rank_report_round_trip(tmp_path):
     est = estimate_rank(P, cfg)
     path = tmp_path / "rank.report"
     save_rank_report(path, est)
+    assert path.read_text() == format_rank_report(est)
     errors, r_star, completion = load_rank_report(path)
     assert r_star == est.r_star
     assert [r for r, _ in errors] == [r for r, _ in est.errors]

@@ -3,135 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from maxnorm_completion import (
-    PackingConfig,
-    RateParams,
-    ValidationError,
-    matrix_norms,
-    packing_count,
-    packing_generate,
-    packing_verify,
-    rademacher_sign_sup,
-    rate_bounds,
-)
+from maxnorm_completion import RateParams, ValidationError, rate_bounds
 from maxnorm_completion.theory import format_report, rate_report_items
-
-
-def test_packing_config_requires_integer_block():
-    with pytest.raises(ValidationError):
-        PackingConfig(d1=8, d2=8, alpha=1.0, gamma=0.9, r=1.0, count_cap=10)
-    cfg = PackingConfig(d1=8, d2=8, alpha=1.0, gamma=0.5, r=1.0, count_cap=10)
-    assert cfg.B == 4
-
-
-def test_packing_block_height_capped_by_dims():
-    with pytest.raises(ValidationError):
-        PackingConfig(d1=3, d2=16, alpha=1.0, gamma=1.0, r=4.0, count_cap=10)
-
-
-def test_packing_count_caps_astronomical_cardinality():
-    cfg = PackingConfig(d1=32, d2=32, alpha=1.0, gamma=1.0, r=4.0, count_cap=100)
-    assert packing_count(cfg) == 100  # exp(8) ~ 2981 >> 100
-    small = PackingConfig(d1=4, d2=4, alpha=1.0, gamma=1.0, r=1.0, count_cap=100)
-    # exp(4/16) = e^0.25 ~ 1.284 -> 2 matrices
-    assert packing_count(small) == 2
-
-
-def test_packing_unit_block_collapses_rows():
-    cfg = PackingConfig(d1=5, d2=6, alpha=0.7, gamma=1.0, r=1.0, count_cap=5)
-    mats = packing_generate(cfg, seed=3)
-    assert mats.shape[1:] == (5, 6)
-    for M in mats:
-        assert np.array_equal(np.tile(M[0], (5, 1)), M)
-        assert set(np.unique(np.abs(M))) == {0.7}
-        assert matrix_norms(M).rank_numeric == 1
-
-
-def test_packing_entries_and_rank_bound():
-    cfg = PackingConfig(d1=12, d2=10, alpha=1.3, gamma=0.5, r=0.75, count_cap=20)
-    mats = packing_generate(cfg, seed=11)
-    level = 1.3 * 0.5
-    for M in mats:
-        assert np.all(np.abs(M) == level)
-        assert np.abs(M).max() == level
-        msq = (M * M).sum() / M.size
-        assert msq == pytest.approx(level ** 2, rel=1e-12)
-        assert matrix_norms(M).rank_numeric <= cfg.B
-
-
-def test_packing_transposes_wide_blocks():
-    # d1 > d2: block replication must run along the shorter axis.
-    cfg = PackingConfig(d1=9, d2=4, alpha=1.0, gamma=1.0, r=2.0, count_cap=6)
-    mats = packing_generate(cfg, seed=5)
-    for M in mats:
-        assert matrix_norms(M).rank_numeric <= 2
-        # columns repeat with period B=2 along the wide axis
-        assert np.array_equal(M[:, 0], M[:, 2])
-
-
-def test_packing_verify_single_matrix_vacuous():
-    report = packing_verify(np.ones((1, 3, 3)), alpha=1.0, gamma=1.0)
-    assert report.pairs_ok
-    assert report.min_pairwise_sq == np.inf
-    assert report.failing_pair is None
-
-
-def test_packing_verify_flags_identical_pair():
-    M = np.ones((3, 3))
-    report = packing_verify(np.stack([M, M]), alpha=1.0, gamma=1.0)
-    assert not report.pairs_ok
-    assert report.min_pairwise_sq == pytest.approx(0.0, abs=1e-12)
-    assert report.failing_pair == (0, 1)
-
-
-def test_packing_generated_set_is_separated():
-    cfg = PackingConfig(d1=32, d2=32, alpha=1.0, gamma=1.0, r=4.0, count_cap=100)
-    mats = packing_generate(cfg, seed=42)
-    report = packing_verify(mats, alpha=1.0, gamma=1.0)
-    assert all(report.property_i_ok)
-    assert report.pairs_ok
-    assert report.min_pairwise_sq > report.separation_threshold
-
-
-def test_packing_determinism():
-    cfg = PackingConfig(d1=16, d2=16, alpha=1.0, gamma=1.0, r=2.0, count_cap=10)
-    assert np.array_equal(packing_generate(cfg, seed=9), packing_generate(cfg, seed=9))
-
-
-def test_rademacher_single_cell_matches_binomial_oracle():
-    # d1 = d2 = 1: the only sign matrices are +-1, so the supremum is
-    # |sum eps_t| and its mean is computable in closed form.  For n = 4:
-    # E|sum| = (4 + 8 + 0 + 8 + 4) / 16 = 1.5.
-    idx = np.zeros((4, 2), dtype=np.int64)
-    rep = rademacher_sign_sup(1, 1, idx, epsilon_draws=4000, seed=2)
-    exact = 1.5 * (2.0 / 4)
-    assert rep.mc_mean == pytest.approx(exact, abs=0.07)
-    assert rep.kg_upper == pytest.approx(1.79 * rep.mc_mean, rel=1e-12)
-
-
-def test_rademacher_two_by_two_within_bound():
-    rng = np.random.default_rng(3)
-    idx = np.column_stack([rng.integers(0, 2, 4), rng.integers(0, 2, 4)])
-    rep = rademacher_sign_sup(2, 2, idx, epsilon_draws=2000, seed=7)
-    assert rep.mc_mean <= rep.bound
-    assert rep.bound == pytest.approx(12.0 * math.sqrt(4 / 4), rel=1e-12)
-
-
-def test_rademacher_invariant_to_relabeling():
-    rng = np.random.default_rng(5)
-    idx = np.column_stack([rng.integers(0, 3, 10), rng.integers(0, 4, 10)])
-    rep = rademacher_sign_sup(3, 4, idx, epsilon_draws=500, seed=11)
-    row_perm = np.array([2, 0, 1])
-    col_perm = np.array([3, 1, 0, 2])
-    relabeled = np.column_stack([row_perm[idx[:, 0]], col_perm[idx[:, 1]]])
-    rep2 = rademacher_sign_sup(3, 4, relabeled, epsilon_draws=500, seed=11)
-    assert rep.mc_mean == rep2.mc_mean
-
-
-def test_rademacher_dimension_cap():
-    idx = np.zeros((4, 2), dtype=np.int64)
-    with pytest.raises(ValidationError):
-        rademacher_sign_sup(20, 10, idx, epsilon_draws=10, seed=0)
 
 
 def test_rate_bounds_worked_example():
