@@ -9,8 +9,10 @@ fresh unit-variance noise per draw.  Both steps are seeded and reproducible:
 identical seeds give identical index sequences and identical noise.
 
 The index draw is inverse-CDF on the flattened distribution and equals
-numpy's `Generator.choice` with `p` draw for draw; its keys are sorted only
-to speed up the search (see `sample_indices`).
+numpy's `Generator.choice` with `p` draw for draw.  It never holds the
+d1 x d2 CDF: it walks the grid in row blocks of at most CDF_BLOCK_CELLS
+cells, twice, carrying the running sum from block to block, so it holds
+O(n + one block) memory whatever the grid (see `sample_indices`).
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +28,10 @@ PROB_SUM_TOL = 1e-9
 LAPLACE_UNIT_SCALE = 1.0 / np.sqrt(2.0)
 
 NOISE_KINDS = ("gaussian", "laplace", "none")
+
+# Cells per row block of the flattened distribution that `sample_indices`
+# holds at a time: 2 MB of float64.  A row longer than this is one block.
+CDF_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,11 +100,20 @@ class SamplingDistribution:
         uniform or product one builds a new writable float64 d1 x d2 array
         on every read: 8*d1*d2 bytes (128 MB at d1 = d2 = 4000).
         """
+        if self.kind == "explicit":
+            return self.cell_probs
+        return self._rows_into(0, self.d1, np.empty((self.d1, self.d2)))
+
+    def _rows_into(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+        """The cell probabilities of rows r0..r1-1, written into and returned
+        as `out`, a writable (r1 - r0, d2) float64 array."""
         if self.kind == "uniform":
-            return np.full((self.d1, self.d2), 1.0 / (self.d1 * self.d2))
-        if self.kind == "product":
-            return np.outer(self.row_probs, self.col_probs)
-        return self.cell_probs
+            out.fill(1.0 / (self.d1 * self.d2))
+        elif self.kind == "product":
+            np.multiply.outer(self.row_probs[r0:r1], self.col_probs, out=out)
+        else:
+            out[...] = self.cell_probs[r0:r1]
+        return out
 
     def _min_max(self) -> tuple:
         """The smallest and largest cell probability, as floats.
@@ -228,36 +243,80 @@ def _checked_marginal(m, length: int, name: str) -> np.ndarray:
 
 
 def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. with-replacement index draws, deterministic given seed.
+    """n i.i.d. with-replacement index draws, as an (n, 2) int64 array of
+    (row, column) pairs, deterministic given seed.
 
     The draw is inverse-CDF on the flattened distribution: n uniforms are
     located in the normalized cumulative sum of `probs.ravel()`.  It equals
     `Generator.choice(d1*d2, size=n, p=probs.ravel())` draw for draw: the
-    same uniforms, the same CDF, the same search, no other random numbers.
-    The keys are sorted only for the search (ascending keys keep numpy's
-    binary search in cache); each result goes back to its draw's position.
-    A uniform or product distribution builds its flat probabilities for
-    this call only and turns them into the CDF in place.
+    same uniforms, the same CDF values, the same search, no other random
+    numbers.  The CDF is never held whole.  The grid is walked in row
+    blocks of at most CDF_BLOCK_CELLS cells (one row if a row is longer),
+    each built into one reused buffer:
+
+      pass 1 makes `Generator.choice`'s checks and takes the CDF block by
+             block, adding the running sum into each block's first cell
+             before an in-place cumsum, so every value is the float the
+             full cumsum gives; it keeps the sum entering each block;
+      pass 2 rebuilds each block's CDF the same way, divides it by the
+             last CDF value, and searches it for the uniforms that fall in
+             the block.
+
+    The uniforms are sorted for the search: a block's uniforms are then a
+    contiguous run, and ascending keys keep the binary search in cache.
+    Each result goes back to its draw's position.  Memory is O(n + one
+    block), not O(d1*d2).
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    p = dist.probs.ravel()  # writable only if built for this call
-    # The checks Generator.choice makes on p.
-    total = p.sum()
-    if np.isnan(total):
-        raise ValidationError("probabilities contain NaN")
-    if (p < 0).any():
-        raise ValidationError("probabilities must be nonnegative")
+    d1, d2 = dist.d1, dist.d2
+    step = max(1, CDF_BLOCK_CELLS // d2)
+    blocks = [(r0, min(r0 + step, d1)) for r0 in range(0, d1, step)]
+    buf = np.empty((min(step, d1), d2))
+
+    def block(k):
+        r0, r1 = blocks[k]
+        return dist._rows_into(r0, r1, buf[:r1 - r0]).ravel()
+
+    def cumsum_from(carry, p):
+        """p's cumulative sum in place, starting from the sum entering it."""
+        p[0] += carry
+        return np.cumsum(p, out=p)
+
+    # Pass 1: the checks Generator.choice makes on p, and the running sums.
+    total, carries = 0.0, [0.0]
+    for k in range(len(blocks)):
+        p = block(k)
+        block_sum = p.sum()
+        if np.isnan(block_sum):
+            raise ValidationError("probabilities contain NaN")
+        if (p < 0).any():
+            raise ValidationError("probabilities must be nonnegative")
+        total += block_sum
+        carries.append(cumsum_from(carries[-1], p)[-1])
     if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):
         raise ValidationError(f"probabilities must sum to 1, got {total!r}")
+
+    # Pass 2: a uniform u lands in block k when the normalized CDF value
+    # ending block k - 1 is <= u < the one ending block k (side="right").
     rng = _rng.stream_rng(seed, _rng.SAMPLING)
-    cdf = np.cumsum(p, out=p if p.flags.writeable else None)
-    cdf /= cdf[-1]
     u = rng.random(n)
     order = np.argsort(u)
+    u = u[order]
+    cdf_end = carries[-1]
+    ends = u.searchsorted(np.divide(carries[1:], cdf_end), side="left")
     flat = np.empty(n, dtype=np.int64)
-    flat[order] = cdf.searchsorted(u[order], side="right")
-    return np.column_stack(np.unravel_index(flat, (dist.d1, dist.d2))).astype(np.int64)
+    lo = 0
+    for k, hi in enumerate(ends.tolist()):
+        if hi > lo:
+            cdf = cumsum_from(carries[k], block(k))
+            cdf /= cdf_end
+            flat[order[lo:hi]] = cdf.searchsorted(u[lo:hi], side="right") + blocks[k][0] * d2
+        lo = hi
+    del u, order
+    out = np.empty((n, 2), dtype=np.int64)
+    np.divmod(flat, d2, out=(out[:, 0], out[:, 1]))
+    return out
 
 
 def observe(M0, indices, noise: NoiseModel, seed: int) -> ObservationSet:
@@ -277,7 +336,9 @@ def observe(M0, indices, noise: NoiseModel, seed: int) -> ObservationSet:
         xi = rng.laplace(loc=0.0, scale=LAPLACE_UNIT_SCALE, size=n)
     else:
         xi = np.zeros(n)
-    values = A[idx[:, 0], idx[:, 1]] + noise.sigma * xi
+    xi *= noise.sigma
+    values = A[idx[:, 0], idx[:, 1]]
+    values += xi
     return ObservationSet(d1=A.shape[0], d2=A.shape[1], indices=idx, values=values)
 
 

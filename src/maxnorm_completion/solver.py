@@ -10,7 +10,10 @@ ball.
 
 It first collapses the observations onto their m unique cells (draw count,
 mean value and within-cell sum of squares), which keeps the loss exact
-while every pass touches each observed cell once.  No d1 x d2 array is
+while every pass touches each observed cell once.  The collapse is one
+in-place sort of an int64 key packing (cell, draw), then one bincount over
+the sorted draws, so each cell's values are summed in draw order; it holds
+about three n-length arrays beyond the observations.  No d1 x d2 array is
 built while solving: a PGD iteration gathers the prediction at the observed
 cells, forms the gradient products G @ V and G.T @ U as per-column segment
 sums, and takes the elementwise max of U @ V.T exactly by scanning the rows
@@ -132,22 +135,56 @@ def _dedupe_observations(obs: ObservationSet) -> _Cells:
 
     With r = prediction - mean at each cell, the empirical loss is exactly
     (sum counts * r^2 + ss_within) / n.
+
+    One sort orders the draws by cell, and within a cell by draw: an
+    in-place sort of the packed int64 key cell * n + draw, or, where
+    d1 * d2 * n would overflow it, a stable sort by (row, column).  A
+    cell's sum then adds its values in draw order, and ss_within sums the
+    deviations in draw order.
     """
-    flat = obs.indices[:, 0] * obs.d2 + obs.indices[:, 1]
-    uniq, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
+    n = obs.n
+    rows, cols = obs.indices.T
+    if int(obs.d1) * int(obs.d2) * n < 2 ** 63:
+        key = rows * obs.d2
+        key += cols
+        key *= n
+        key += np.arange(n)
+        key.sort()
+        draws = np.empty(n, dtype=np.int64)
+        np.divmod(key, n, out=(key, draws))  # key now holds the sorted cells
+        new = key[1:] != key[:-1]
+        del key
+    else:
+        draws = np.lexsort((cols, rows))
+        r, c = rows[draws], cols[draws]
+        new = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        del r, c
+    # ids[s]: the cell of the draw at sorted position s, numbered 0..m-1.
+    ids = np.empty(n, dtype=np.int64)
+    ids[0] = 0
+    np.cumsum(new, out=ids[1:])
+    starts = np.concatenate(([0], np.flatnonzero(new) + 1))
+    del new
+    counts = np.diff(starts, append=n).astype(np.float64)
+    first = draws[starts]
     # Overflows: the means' are reported here, ss_within's by fit_pgd.
     with np.errstate(over="ignore"):
-        means = np.bincount(inverse, weights=obs.values) / counts
+        means = np.bincount(ids, weights=obs.values[draws])
+        means /= counts
         if not np.isfinite(means).all():
             raise ValidationError("the mean of an observed cell is not finite; "
                                   "the observed values are too large in magnitude")
-        dev = obs.values - means[inverse]
+        inverse = np.empty(n, dtype=np.int64)  # the cell of each draw, in draw order
+        inverse[draws] = ids
+        del ids, draws
+        dev = means[inverse]
+        del inverse
+        np.subtract(obs.values, dev, out=dev)
         ss_within = float(dev @ dev)
-    rows, cols = np.divmod(uniq, obs.d2)
+    rows, cols = rows[first], cols[first]
     row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    return _Cells(rows=rows, cols=cols, row_starts=row_starts,
-                  counts=counts.astype(np.float64), means=means,
-                  ss_within=ss_within, n=obs.n)
+    return _Cells(rows=rows, cols=cols, row_starts=row_starts, counts=counts, means=means,
+                  ss_within=ss_within, n=n)
 
 
 def _cell_loss(cells: _Cells, U, V):
