@@ -14,6 +14,7 @@ from maxnorm_completion import (
     observe,
     _rng,
     sample_indices,
+    sampling,
 )
 from maxnorm_completion.sampling import (
     format_distribution,
@@ -246,6 +247,31 @@ def test_sample_indices_pinned_draws():
                              col_marginals=[7, 6, 5, 4, 3, 2, 1])
     assert sample_indices(dist, 8, seed=2013).tolist() == [
         [2, 0], [3, 0], [4, 0], [3, 2], [0, 4], [1, 0], [2, 2], [3, 0]]
+
+
+@settings(deadline=None, max_examples=200)
+@given(dist=_distributions(), n=st.integers(1, 300), seed=st.integers(0, 2**63 - 1),
+       block_cells=st.integers(1, 20), ties=st.booleans())
+def test_sample_indices_in_row_blocks_equals_generator_choice(dist, n, seed, block_cells, ties):
+    # Blocks of a few cells: uniforms fall on block boundaries, zero cells
+    # open and close blocks, and a long row makes a block of its own.
+    stream_rng = (lambda s, stream: _TieGenerator(np.random.PCG64(s))) if ties else _rng.stream_rng
+    with patch.object(_rng, "stream_rng", stream_rng), \
+            patch.object(sampling, "CDF_BLOCK_CELLS", block_cells):
+        idx = sample_indices(dist, n, seed)
+        assert np.array_equal(idx, _choice_draws(dist, n, seed))
+
+
+def test_sample_indices_holds_no_dense_cdf():
+    dist = make_distribution("uniform", 2000, 2000)
+    tracemalloc.start()
+    try:
+        idx = sample_indices(dist, 100_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20  # the d1*d2 CDF alone takes 30.5 MB
+    assert idx.shape == (100_000, 2) and idx.dtype == np.int64
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.25, 0.5])

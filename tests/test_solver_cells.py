@@ -86,6 +86,71 @@ def test_dedupe_matches_per_cell_reference(seed, d1, d2, n, pool):
     assert cells.n == obs.n
 
 
+def _draw_order_reference(obs):
+    """Sorted cells, their counts and means, and ss_within, one draw at a time.
+
+    Each cell's sum adds its values in draw order, starting from 0.0, and
+    ss_within reduces the deviations in draw order with the solver's reduction.
+    """
+    sums, counts = {}, {}
+    draws = list(zip(map(tuple, obs.indices.tolist()), obs.values.tolist()))
+    for cell, y in draws:
+        sums[cell] = sums.get(cell, 0.0) + y
+        counts[cell] = counts.get(cell, 0) + 1
+    means = {cell: sums[cell] / counts[cell] for cell in sums}
+    dev = np.array([y - means[cell] for cell, y in draws])
+    cells = sorted(sums)
+    return cells, [counts[c] for c in cells], [means[c] for c in cells], float(dev @ dev)
+
+
+@st.composite
+def _repeated_draws(draw):
+    """Up to 60 draws from at most 6 cells of a small grid or of a 2**32 x 2**32 one."""
+    if draw(st.booleans()):
+        d1 = d2 = 2 ** 32  # d1 * d2 * n overflows the packed sort key
+    else:
+        d1, d2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    pool = draw(st.lists(st.tuples(st.integers(0, d1 - 1), st.integers(0, d2 - 1)),
+                         min_size=1, max_size=6))
+    n = draw(st.integers(1, 60))
+    idx = [draw(st.sampled_from(pool)) for _ in range(n)]
+    values = draw(st.lists(st.floats(-1e100, 1e100), min_size=n, max_size=n))
+    return ObservationSet(d1=d1, d2=d2, indices=np.array(idx), values=np.array(values))
+
+
+_ORDER_MATTERS = ObservationSet(  # (1e16 + 1) - 1e16 is 0; (1e16 - 1e16) + 1 is 1
+    d1=3, d2=3, indices=np.array([[2, 1], [0, 0], [2, 1], [2, 1], [0, 0], [1, 2]]),
+    values=np.array([1e16, 0.5, 1.0, -1e16, 3.0, -2.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(obs=_repeated_draws())
+@example(obs=_ORDER_MATTERS)
+def test_dedupe_equals_draw_order_reference_bit_for_bit(obs):
+    cells_ref, counts_ref, means_ref, ss_ref = _draw_order_reference(obs)
+    cells = solver._dedupe_observations(obs)
+    assert list(zip(cells.rows.tolist(), cells.cols.tolist())) == cells_ref
+    assert cells.counts.tolist() == counts_ref
+    assert cells.means.view(np.int64).tolist() == np.array(means_ref).view(np.int64).tolist()
+    assert cells.ss_within.hex() == ss_ref.hex()
+    assert cells.row_starts.tolist() == np.flatnonzero(np.diff(cells.rows, prepend=-1)).tolist()
+
+
+def test_dedupe_on_a_grid_too_large_for_the_packed_key():
+    top = 2 ** 32 - 1  # row * d2 + col alone overflows int64 here
+    obs = ObservationSet(d1=2 ** 32, d2=2 ** 32,
+                         indices=np.array([[top, 5], [0, top], [top, 5], [top, 4], [0, top]]),
+                         values=np.array([1.0, 2.0, 4.0, 8.0, 16.0]))
+    with patch.object(np, "lexsort", wraps=np.lexsort) as stable_sort:
+        cells = solver._dedupe_observations(obs)
+    stable_sort.assert_called_once()
+    assert cells.rows.tolist() == [0, top, top] and cells.cols.tolist() == [top, 4, 5]
+    assert cells.counts.tolist() == [2.0, 1.0, 2.0]
+    assert cells.means.tolist() == [9.0, 8.0, 2.5]
+    assert cells.row_starts.tolist() == [0, 1]
+    assert cells.ss_within == 49.0 + 49.0 + 2.25 + 2.25
+
+
 def _dyadic(rng, shape):
     # Multiples of 1/8 with small numerators: every product and sum of a few
     # of them is exact, so the blocked max must equal the dense one bit for
