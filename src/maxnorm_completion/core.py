@@ -25,6 +25,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dot(a, b) -> float:
+    """a . b for 1-D float64 arrays, the same bits whatever the BLAS thread count.
+
+    A 1-D `@` (and `np.linalg.norm`) is a BLAS ddot, which OpenBLAS splits
+    across threads above about 10000 elements, so its rounding depends on
+    the thread count.  einsum sums in one fixed order, independent of
+    threads and of alignment.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
 def check_matrix(M, name: str = "matrix") -> np.ndarray:
     """Validate a dense real matrix: 2-D, nonempty, all entries finite."""
     A = np.asarray(M, dtype=np.float64)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (ConstraintSet, ValidationError, check_matrix, _frozen, _parse_rows,
+from .core import (ConstraintSet, ValidationError, check_matrix, _dot, _frozen, _parse_rows,
                    format_dense, parse_dense)
 from .sampling import ObservationSet
 # Named `fit` here: bench/workloads.py::_fit_log patches model_select.fit to count candidate fits.
@@ -103,7 +103,8 @@ def profile_distance(F, F_r) -> float:
     F_r = check_matrix(F_r, "profile")
     if F.shape != F_r.shape:
         raise ValidationError(f"profile shapes differ: {F.shape} vs {F_r.shape}")
-    return float(np.linalg.norm(F - F_r))
+    D = (F - F_r).ravel()
+    return float(np.sqrt(_dot(D, D)))
 
 
 def estimate_rank(P: PartialMatrix, cfg: RankSearchConfig) -> RankEstimate:

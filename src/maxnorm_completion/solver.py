@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _rng
-from .core import ConstraintSet, Factorization, ValidationError, check_matrix
+from .core import ConstraintSet, Factorization, ValidationError, _dot, check_matrix
 from .sampling import ObservationSet
 
 DEFAULT_TAU = 0.1
@@ -180,7 +180,7 @@ def _dedupe_observations(obs: ObservationSet) -> _Cells:
         dev = means[inverse]
         del inverse
         np.subtract(obs.values, dev, out=dev)
-        ss_within = float(dev @ dev)
+        ss_within = _dot(dev, dev)
     rows, cols = rows[first], cols[first]
     row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
     return _Cells(rows=rows, cols=cols, row_starts=row_starts, counts=counts, means=means,
@@ -196,7 +196,7 @@ def _cell_loss(cells: _Cells, U, V):
     for u, v in zip(U.T.copy(), V.T.copy()):
         r += u[cells.rows] * v[cells.cols]
     cr = cells.counts * r
-    loss = (float(cr @ r) + cells.ss_within) / cells.n
+    loss = (_dot(cr, r) + cells.ss_within) / cells.n
     return loss, (2.0 / cells.n) * cr
 
 

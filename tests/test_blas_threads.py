@@ -1,0 +1,42 @@
+"""A fit and a rank search give the same bits whatever the BLAS thread count."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# OpenBLAS splits a 1-D dot product across threads above about 10000
+# elements, which changes its rounding.  Here n, the observed cells and the
+# profiles all exceed that.  The truth is an outer product, not a BLAS
+# matmul, so both runs start from the same observations.
+_FIT_AND_PROFILE_DISTANCE = """
+import numpy as np
+from maxnorm_completion import (ConstraintSet, NoiseModel, SolverConfig, fit_pgd,
+                                make_distribution, observe, sample_indices)
+from maxnorm_completion.model_select import profile_distance, spectral_magnitude
+d = 200
+M0 = np.outer(np.linspace(-1.0, 1.0, d), np.cos(np.arange(d)))
+M1 = np.outer(np.cos(0.37 * np.arange(d)), np.sin(1.3 * np.arange(d)))
+obs = observe(M0, sample_indices(make_distribution("uniform", d, d), 40_000, seed=1),
+              NoiseModel("gaussian", 0.1), seed=1)
+result = fit_pgd(obs, ConstraintSet(alpha=1.0, radius=2.0), SolverConfig(k=3, max_iters=10, seed=1))
+print(" ".join(x.hex() for x in result.objective_trace))
+F0 = spectral_magnitude(M0)
+print(" ".join(profile_distance(F0, spectral_magnitude(M0 + 0.01 * s * M1)).hex()
+               for s in range(1, 9)))
+"""
+
+
+def _run(threads: int) -> str:
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": str(threads),
+           "OMP_NUM_THREADS": str(threads), "MKL_NUM_THREADS": str(threads)}
+    return subprocess.run([sys.executable, "-c", _FIT_AND_PROFILE_DISTANCE], check=True,
+                          capture_output=True, text=True, env=env).stdout
+
+
+def test_fit_trace_and_profile_distance_do_not_depend_on_blas_threads():
+    one, two = _run(1), _run(2)
+    assert len(one.splitlines()[0].split()) == 11  # the start and ten steps
+    assert one == two

@@ -13,6 +13,7 @@ from maxnorm_completion import (
     Factorization,
     ObservationSet,
     SolverConfig,
+    core,
     empirical_loss_and_grad,
     fit_pgd,
     init_factors,
@@ -100,7 +101,7 @@ def _draw_order_reference(obs):
     means = {cell: sums[cell] / counts[cell] for cell in sums}
     dev = np.array([y - means[cell] for cell, y in draws])
     cells = sorted(sums)
-    return cells, [counts[c] for c in cells], [means[c] for c in cells], float(dev @ dev)
+    return cells, [counts[c] for c in cells], [means[c] for c in cells], core._dot(dev, dev)
 
 
 @st.composite
