@@ -150,8 +150,9 @@ def _cmd_rank_estimate(args) -> int:
         if alpha0 <= 0:
             raise ValidationError("cannot infer alpha0 from all-zero observations")
     P = PartialMatrix.from_observations(obs)
+    del obs  # the draws are not read again; free them for the search
     # The search sets the factor width of each candidate itself.
-    solver_cfg = _solver_config(args, default_factor_width(obs.d1, obs.d2))
+    solver_cfg = _solver_config(args, default_factor_width(P.d1, P.d2))
     est = estimate_rank(P, RankSearchConfig(alpha0=alpha0, r_max=args.r_max,
                                             solver=solver_cfg))
     save_rank_report(args.out, est)

@@ -112,7 +112,8 @@ def pi_weighted_sq_norm(M, distribution) -> float:
 
     Uniform and product distributions are weighted through their
     marginals, with no d1 x d2 temporary: sum(M^2) / (d1*d2) and
-    row_probs @ (M^2 @ col_probs), each row summed in one pass.
+    row_probs . (M^2 @ col_probs), each row summed in one pass and the rows
+    reduced with _dot, so the bits do not depend on the BLAS thread count.
     """
     A = check_matrix(M)
     shape = (distribution.d1, distribution.d2)
@@ -123,8 +124,8 @@ def pi_weighted_sq_norm(M, distribution) -> float:
     if distribution.kind == "uniform":
         return float(np.einsum("ij,ij->", A, A) / A.size)
     if distribution.kind == "product":
-        return float(distribution.row_probs @ np.einsum("ij,ij,j->i", A, A,
-                                                        distribution.col_probs))
+        return _dot(distribution.row_probs, np.einsum("ij,ij,j->i", A, A,
+                                                      distribution.col_probs))
     return float(np.einsum("ij,ij,ij->", distribution.cell_probs, A, A))
 
 

@@ -31,15 +31,18 @@ class PartialMatrix(ObservationSet):
 
     def __post_init__(self):
         super().__post_init__()
-        flat = self.indices[:, 0] * self.d2 + self.indices[:, 1]
-        if (np.diff(flat) <= 0).any():
+        # Compared lexicographically: a flat index row * d2 + col overflows
+        # int64 once d1 * d2 > 2^63.
+        dr, dc = np.diff(self.indices, axis=0).T
+        if ((dr < 0) | ((dr == 0) & (dc <= 0))).any():
             raise ValidationError("partial matrix cells must be distinct and in row-major order")
 
     @classmethod
     def from_observations(cls, obs: ObservationSet) -> "PartialMatrix":
         """Collapse an observation list onto its cells, averaging duplicates."""
         cells = _dedupe_observations(obs)
-        return cls(d1=obs.d1, d2=obs.d2, indices=np.column_stack([cells.rows, cells.cols]),
+        rows = np.repeat(cells.row_ids, cells.row_counts)
+        return cls(d1=obs.d1, d2=obs.d2, indices=np.column_stack([rows, cells.cols]),
                    values=cells.means)
 
 

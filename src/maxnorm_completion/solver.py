@@ -13,11 +13,18 @@ mean value and within-cell sum of squares), which keeps the loss exact
 while every pass touches each observed cell once.  The collapse is one
 in-place sort of an int64 key packing (cell, draw), then one bincount over
 the sorted draws, so each cell's values are summed in draw order; it holds
-about three n-length arrays beyond the observations.  No d1 x d2 array is
-built while solving: a PGD iteration gathers the prediction at the observed
-cells, forms the gradient products G @ V and G.T @ U as per-column segment
-sums, and takes the elementwise max of U @ V.T exactly by scanning the rows
-of U in decreasing norm and stopping once the Cauchy-Schwarz bound
+about three n-length arrays beyond the observations.  The cells are kept
+in row-major order, a row's cells contiguous.
+
+No d1 x d2 array is built while solving.  A PGD iteration evaluates the
+loss at each trial point, gathering every column of V at the cells once
+into a k x m array; U's value at the cells is np.repeat of its observed
+rows, not a gather.  The accepted trial's gathered columns, scaled in
+place by the gradient weights, give G @ V as per-row segment sums, and
+the repeated columns of U, binned by cell column, give G.T @ U.  Only that
+one k x m set is held: a rejected trial's set is dropped before the next
+trial.  The elementwise max of U @ V.T is taken exactly by scanning the
+rows of U in decreasing norm and stopping once the Cauchy-Schwarz bound
 |u_i . v_j| <= |u_i| max_j |v_j| of the next row cannot beat the running
 max.  Usually a small share of the rows is scanned; in the worst case
 (every row of U at the same norm, as when all sit on the radius) it covers all
@@ -119,15 +126,21 @@ def empirical_loss_and_grad(F: Factorization, obs: ObservationSet):
 
 
 class _Cells(NamedTuple):
-    """Observations collapsed onto their unique cells, in row-major order."""
+    """Observations collapsed onto their unique cells, in row-major order.
 
-    rows: np.ndarray  # int64
-    cols: np.ndarray  # int64
+    A row's cells are contiguous, so a row factor at every cell is
+    np.repeat(u[row_ids], row_counts): no per-cell row index is kept.
+    """
+
+    cols: np.ndarray  # int64: the column of each cell
+    row_ids: np.ndarray  # int64: the observed rows, ascending
     row_starts: np.ndarray  # int64: index of each observed row's first cell
+    row_counts: np.ndarray  # int64: cells in each observed row
     counts: np.ndarray  # float64: draws of the cell
     means: np.ndarray  # float64: mean observed value of the cell
     ss_within: float  # sum over all draws of (y_t - mean of its cell)^2
     n: int  # total draws
+    d2: int  # columns of the grid
 
 
 def _dedupe_observations(obs: ObservationSet) -> _Cells:
@@ -181,38 +194,59 @@ def _dedupe_observations(obs: ObservationSet) -> _Cells:
         del inverse
         np.subtract(obs.values, dev, out=dev)
         ss_within = _dot(dev, dev)
-    rows, cols = rows[first], cols[first]
-    row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    return _Cells(rows=rows, cols=cols, row_starts=row_starts, counts=counts, means=means,
-                  ss_within=ss_within, n=n)
+        del dev
+    cell_rows = rows[first]
+    row_starts = np.flatnonzero(np.diff(cell_rows, prepend=-1))
+    row_ids = cell_rows[row_starts]
+    del cell_rows
+    return _Cells(cols=cols[first], row_ids=row_ids, row_starts=row_starts,
+                  row_counts=np.diff(row_starts, append=first.size), counts=counts,
+                  means=means, ss_within=ss_within, n=n, d2=obs.d2)
 
 
 def _cell_loss(cells: _Cells, U, V):
-    """Empirical loss and the gradient weights (2/n) * count * r at each cell.
+    """Empirical loss, the gradient weights w = (2/n) * count * r at each cell,
+    and V's columns gathered at the cells.
 
-    The prediction is gathered one factor column at a time.
+    The gathered columns are a k x m array, the one O(m k) set an iteration
+    holds; _cell_grad_products takes it for the accepted point, so each
+    column of V is gathered once per iteration.  U's side is repeated per
+    row, not gathered, and the residual sums the factor columns in order.
     """
-    r = -cells.means
-    for u, v in zip(U.T.copy(), V.T.copy()):
-        r += u[cells.rows] * v[cells.cols]
+    Vc = np.take(V.T, cells.cols, axis=1)
+    Ur = U[cells.row_ids].T
+    r = _repeat_times(Ur[0], cells, Vc[0])
+    r -= cells.means  # p_0 - mean: the same bits as -mean + p_0
+    for u, v in zip(Ur[1:], Vc[1:]):
+        r += _repeat_times(u, cells, v)
     cr = cells.counts * r
     loss = (_dot(cr, r) + cells.ss_within) / cells.n
-    return loss, (2.0 / cells.n) * cr
+    cr *= 2.0 / cells.n
+    return loss, cr, Vc
 
 
-def _cell_grad_products(cells: _Cells, w, U, V):
+def _cell_grad_products(cells: _Cells, w, U, Vc):
     """G @ V and G.T @ U for the gradient G equal to w at the cells, 0 elsewhere.
 
-    G @ V sums each observed row's contiguous segment of cells; rows with no
-    cell stay 0.  G.T @ U bins over the unsorted columns, which is cheaper
-    than sorting the cells by column once more per fit.
+    Vc holds V's columns at the cells, as _cell_loss returns them; they are
+    overwritten with w * Vc.  G @ V sums each observed row's contiguous
+    segment of cells; rows with no cell stay 0.  G.T @ U bins U's repeated
+    columns over the unsorted cell columns, which is cheaper than sorting the
+    cells by column once more per fit.
     """
     GV = np.zeros_like(U)
-    GV[cells.rows[cells.row_starts]] = np.column_stack(
-        [np.add.reduceat(w * np.take(v, cells.cols), cells.row_starts) for v in V.T.copy()])
-    GtU = np.column_stack([np.bincount(cells.cols, weights=w * u[cells.rows],
-                                       minlength=V.shape[0]) for u in U.T.copy()])
+    Vc *= w
+    GV[cells.row_ids] = np.add.reduceat(Vc, cells.row_starts, axis=1).T
+    GtU = np.column_stack([np.bincount(cells.cols, weights=_repeat_times(u, cells, w),
+                                       minlength=cells.d2) for u in U[cells.row_ids].T])
     return GV, GtU
+
+
+def _repeat_times(u, cells: _Cells, x):
+    """x times u's entry for each cell's row: one fresh m-array, multiplied in place."""
+    p = np.repeat(u, cells.row_counts)
+    p *= x
+    return p
 
 
 def project_factor_rows(U, radius: float) -> np.ndarray:
@@ -328,8 +362,8 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
     pre-step factors, global elementwise rescale, then row projection of both
     factors.  The step is halved (at most MAX_HALVINGS times) whenever the
     objective would increase or turn non-finite; if no step helps, the
-    iterate is kept and the solve stops.  The accepted trial's cell residuals
-    give the next gradient.
+    iterate is kept and the solve stops.  The accepted trial's gradient
+    weights and gathered columns of V give the next gradient products.
 
     Raises ValidationError when the loss at the start is not finite, as when
     the observed values are so large that their squares overflow.
@@ -342,35 +376,37 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
     U, V = F0.U, F0.V
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, w = _cell_loss(cells, U, V)
+        loss, w, Vc = _cell_loss(cells, U, V)
         if not np.isfinite(loss):
             raise ValidationError("the empirical loss at the start is not finite; "
                                   "the observed values are too large in magnitude")
         trace = [loss]
         for it in range(1, cfg.max_iters + 1):
-            GV, GtU = _cell_grad_products(cells, w, U, V)
+            GV, GtU = _cell_grad_products(cells, w, U, Vc)
+            # Dropped before each trial, so one set of gathered columns is alive.
+            del w, Vc
             tau = cfg.tau
-            accepted = None
             for _ in range(MAX_HALVINGS + 1):
                 Un = U - tau * GV
                 Vn = V - tau * GtU
                 Un, Vn = _linf_rescale_arrays(Un, Vn, alpha)
                 Un = _project_rows_inplace(Un, radius)
                 Vn = _project_rows_inplace(Vn, radius)
-                new_loss, new_w = _cell_loss(cells, Un, Vn)
+                new_loss, w, Vc = _cell_loss(cells, Un, Vn)
                 # False for NaN and inf, so every accepted loss is finite.
                 if new_loss <= loss * (1 + 1e-12):
-                    accepted = (Un, Vn, new_loss, new_w)
                     break
+                del w, Vc
                 tau *= 0.5
-            if accepted is None:
+            else:
                 break  # no admissible step; current iterate is the answer
-            U, V, new_loss, w = accepted
+            U, V = Un, Vn
             prev, loss = loss, new_loss
             trace.append(loss)
             iterations = it
             if abs(loss - prev) <= cfg.tol * max(prev, 1e-12):
                 break
+    w = Vc = None  # the last trial's gathered columns, unread after the loop
     F = Factorization(U=U, V=V)
     max_sq = max((F.U * F.U).sum(axis=1).max(), (F.V * F.V).sum(axis=1).max())
     return SolveResult(

@@ -29,14 +29,30 @@ print(" ".join(profile_distance(F0, spectral_magnitude(M0 + 0.01 * s * M1)).hex(
 """
 
 
-def _run(threads: int) -> str:
+# The product-distribution weighting reduces over d1 = 20000 rows.
+_PI_WEIGHTED_PRODUCT = """
+import numpy as np
+from maxnorm_completion import make_distribution, pi_weighted_sq_norm
+d1 = 20_000
+rng = np.random.default_rng(0)
+dist = make_distribution("product", d1, 2, row_marginals=rng.uniform(0.5, 1.5, d1),
+                         col_marginals=np.array([1.0, 2.0]))
+print(pi_weighted_sq_norm(rng.normal(size=(d1, 2)), dist).hex())
+"""
+
+
+def _run(script: str, threads: int) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": str(threads),
            "OMP_NUM_THREADS": str(threads), "MKL_NUM_THREADS": str(threads)}
-    return subprocess.run([sys.executable, "-c", _FIT_AND_PROFILE_DISTANCE], check=True,
+    return subprocess.run([sys.executable, "-c", script], check=True,
                           capture_output=True, text=True, env=env).stdout
 
 
 def test_fit_trace_and_profile_distance_do_not_depend_on_blas_threads():
-    one, two = _run(1), _run(2)
+    one, two = _run(_FIT_AND_PROFILE_DISTANCE, 1), _run(_FIT_AND_PROFILE_DISTANCE, 2)
     assert len(one.splitlines()[0].split()) == 11  # the start and ten steps
     assert one == two
+
+
+def test_pi_weighted_product_norm_does_not_depend_on_blas_threads():
+    assert _run(_PI_WEIGHTED_PRODUCT, 1) == _run(_PI_WEIGHTED_PRODUCT, 2)

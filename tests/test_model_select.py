@@ -124,10 +124,11 @@ def _duplicate_heavy_observations(draw):
 def _dense_column_mean_init(obs):
     """The column-mean fill on a dense mask and value grid, as the dense reference."""
     cells = solver._dedupe_observations(obs)
+    rows = np.repeat(cells.row_ids, cells.row_counts)
     mask = np.zeros((obs.d1, obs.d2), dtype=bool)
-    mask[cells.rows, cells.cols] = True
+    mask[rows, cells.cols] = True
     values = np.zeros((obs.d1, obs.d2))
-    values[cells.rows, cells.cols] = cells.means
+    values[rows, cells.cols] = cells.means
     counts = mask.sum(axis=0)
     col_means = np.where(counts > 0, values.sum(axis=0) / np.maximum(counts, 1),
                          values[mask].mean())
@@ -174,6 +175,22 @@ def test_from_observations_lists_cells_in_argwhere_order_and_is_idempotent(obs):
 def test_partial_matrix_rejects_repeated_unordered_or_no_cells(indices, values):
     with pytest.raises(ValidationError):
         PartialMatrix(d1=2, d2=2, indices=indices, values=values)
+
+
+def test_partial_matrix_on_a_grid_too_large_for_a_flat_index():
+    top = 2 ** 32 - 1  # row * d2 + col overflows int64 here
+    grid = dict(d1=2 ** 32, d2=2 ** 32)
+    P = PartialMatrix(**grid, indices=[[0, 5], [top, 4]], values=[1.0, 2.0])
+    assert P.indices.tolist() == [[0, 5], [top, 4]]
+    for indices in ([[top, 4], [top, 4]],  # a repeated cell
+                    [[top, 4], [0, 5]],  # out of row-major order
+                    [[top, 5], [top, 4]]):  # out of order within a row
+        with pytest.raises(ValidationError):
+            PartialMatrix(**grid, indices=indices, values=[1.0, 2.0])
+    obs = ObservationSet(**grid, indices=[[top, 4], [0, 5], [top, 4]], values=[1.0, 2.0, 4.0])
+    P = PartialMatrix.from_observations(obs)
+    assert P.indices.tolist() == [[0, 5], [top, 4]]
+    assert P.values.tolist() == [2.0, 2.5]
 
 
 def test_estimate_rank_full_rank_one_matrix():

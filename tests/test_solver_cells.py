@@ -1,4 +1,4 @@
-"""The cell-level PGD iteration against the dense reference, and its memory bound."""
+"""The cell-level PGD iteration against the dense and per-column references, and its memory bounds."""
 
 import tracemalloc
 from collections import defaultdict
@@ -47,11 +47,68 @@ def test_cell_loss_and_gradient_products_match_dense_reference(seed, d1, d2, n, 
     F = Factorization(U=rng.normal(size=(d1, k)), V=rng.normal(size=(d2, k)))
     loss, grad = empirical_loss_and_grad(F, obs)
     cells = solver._dedupe_observations(obs)
-    cell_loss, w = solver._cell_loss(cells, F.U, F.V)
-    GV, GtU = solver._cell_grad_products(cells, w, F.U, F.V)
+    cell_loss, w, Vc = solver._cell_loss(cells, F.U, F.V)
+    GV, GtU = solver._cell_grad_products(cells, w, F.U, Vc)
     assert cell_loss == pytest.approx(loss, rel=1e-12)
     _assert_close(GV, grad @ F.V)
     _assert_close(GtU, grad.T @ F.U)
+
+
+def _per_column_gather_reference(obs, U, V):
+    """Loss, weights and gradient products with both factors gathered at the
+    cells one column at a time, each column twice: the formulas the kernels
+    replaced, kept as the reference for their bits."""
+    cells = solver._dedupe_observations(obs)
+    keys = sorted(set(map(tuple, obs.indices.tolist())))
+    rows, cols = np.array(keys).T
+    row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    r = -cells.means
+    for u, v in zip(U.T.copy(), V.T.copy()):
+        r += u[rows] * v[cols]
+    cr = cells.counts * r
+    loss = (core._dot(cr, r) + cells.ss_within) / cells.n
+    w = (2.0 / cells.n) * cr
+    GV = np.zeros_like(U)
+    GV[rows[row_starts]] = np.column_stack(
+        [np.add.reduceat(w * np.take(v, cols), row_starts) for v in V.T.copy()])
+    GtU = np.column_stack([np.bincount(cols, weights=w * u[rows], minlength=V.shape[0])
+                           for u in U.T.copy()])
+    return loss, w, GV, GtU
+
+
+@st.composite
+def _draws(draw):
+    """Duplicate-heavy draws on up to 6 rows of up to 300 columns: rows hold no
+    cell, one cell, or more than the 128 at which numpy's pairwise sum splits."""
+    return _duplicate_heavy_instance(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 6)),
+                                     draw(st.integers(1, 300)), draw(st.integers(1, 600)),
+                                     draw(st.integers(1, 400)))[1]
+
+
+_SPARSE_ROWS = ObservationSet(  # rows 0, 2 and 4 hold no cell, row 1 one; row 3 repeats a cell
+    d1=5, d2=4, indices=np.array([[3, 3], [1, 2], [3, 0], [3, 3]]),
+    values=np.array([0.5, -1.0, 2.0, 0.25]))
+_LONG_ROW = ObservationSet(  # one row of 300 cells, drawn in reverse column order
+    d1=2, d2=300, indices=np.column_stack([np.ones(300, dtype=np.int64), np.arange(300)[::-1]]),
+    values=np.linspace(-1.0, 1.0, 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(obs=_draws(), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(obs=_SPARSE_ROWS, k=1, seed=0)
+@example(obs=_LONG_ROW, k=3, seed=1)
+def test_cell_kernels_equal_per_column_gather_reference_bit_for_bit(obs, k, seed):
+    rng = np.random.default_rng(seed)
+    U, V = rng.normal(size=(obs.d1, k)), rng.normal(size=(obs.d2, k))
+    loss, w, GV, GtU = _per_column_gather_reference(obs, U, V)
+    cells = solver._dedupe_observations(obs)
+    cell_loss, cell_w, Vc = solver._cell_loss(cells, U, V)
+    assert np.array_equal(Vc, V[cells.cols].T)
+    cell_GV, cell_GtU = solver._cell_grad_products(cells, cell_w, U, Vc)
+    assert cell_loss.hex() == loss.hex()
+    for got, want in ((cell_w, w), (cell_GV, GV), (cell_GtU, GtU)):
+        assert got.shape == want.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,7 +133,9 @@ def test_dedupe_matches_per_cell_reference(seed, d1, d2, n, pool):
         draws[i, j].append(y)
     keys = sorted(draws)
     cells = solver._dedupe_observations(obs)
-    assert cells.rows.tolist() == [i for i, _ in keys]
+    row_ids, row_counts = np.unique([i for i, _ in keys], return_counts=True)
+    assert cells.row_ids.tolist() == row_ids.tolist()
+    assert cells.row_counts.tolist() == row_counts.tolist()
     assert cells.cols.tolist() == [j for _, j in keys]
     assert cells.counts.tolist() == [len(draws[c]) for c in keys]
     # A mean's rounding error scales with its cell's sum(|y|) / count, not with the mean.
@@ -130,11 +189,15 @@ _ORDER_MATTERS = ObservationSet(  # (1e16 + 1) - 1e16 is 0; (1e16 - 1e16) + 1 is
 def test_dedupe_equals_draw_order_reference_bit_for_bit(obs):
     cells_ref, counts_ref, means_ref, ss_ref = _draw_order_reference(obs)
     cells = solver._dedupe_observations(obs)
-    assert list(zip(cells.rows.tolist(), cells.cols.tolist())) == cells_ref
+    rows = np.repeat(cells.row_ids, cells.row_counts)
+    assert list(zip(rows.tolist(), cells.cols.tolist())) == cells_ref
     assert cells.counts.tolist() == counts_ref
     assert cells.means.view(np.int64).tolist() == np.array(means_ref).view(np.int64).tolist()
     assert cells.ss_within.hex() == ss_ref.hex()
-    assert cells.row_starts.tolist() == np.flatnonzero(np.diff(cells.rows, prepend=-1)).tolist()
+    rows_ref = [i for i, _ in cells_ref]
+    assert cells.row_ids.tolist() == sorted(set(rows_ref))
+    assert cells.row_starts.tolist() == [rows_ref.index(i) for i in sorted(set(rows_ref))]
+    assert cells.d2 == obs.d2
 
 
 def test_dedupe_on_a_grid_too_large_for_the_packed_key():
@@ -145,10 +208,10 @@ def test_dedupe_on_a_grid_too_large_for_the_packed_key():
     with patch.object(np, "lexsort", wraps=np.lexsort) as stable_sort:
         cells = solver._dedupe_observations(obs)
     stable_sort.assert_called_once()
-    assert cells.rows.tolist() == [0, top, top] and cells.cols.tolist() == [top, 4, 5]
+    assert cells.row_ids.tolist() == [0, top] and cells.cols.tolist() == [top, 4, 5]
     assert cells.counts.tolist() == [2.0, 1.0, 2.0]
     assert cells.means.tolist() == [9.0, 8.0, 2.5]
-    assert cells.row_starts.tolist() == [0, 1]
+    assert cells.row_starts.tolist() == [0, 1] and cells.row_counts.tolist() == [1, 2]
     assert cells.ss_within == 49.0 + 49.0 + 2.25 + 2.25
 
 
@@ -284,3 +347,27 @@ def test_fit_pgd_allocates_no_dense_grid_array():
     finally:
         tracemalloc.stop()
     assert peak < d * d * np.dtype(np.float64).itemsize
+
+
+def test_fit_pgd_holds_one_set_of_gathered_columns():
+    # Every cell of a 200 x 200 grid observed once, k = 32: the k x m gathered
+    # columns, 10 MB, outweigh the rest of the fit, about 3.5 m-arrays beyond
+    # them.  Two sets alive at once would pass 2 sets; one stays under 1.5.
+    d, k = 200, 32
+    rng = np.random.default_rng(3)
+    rows, cols = np.divmod(np.arange(d * d), d)
+    obs = ObservationSet(d1=d, d2=d, indices=np.column_stack([rows, cols]),
+                         values=rng.normal(size=d * d))
+    one_set = k * d * d * np.dtype(np.float64).itemsize
+    with patch.object(solver, "_cell_loss", wraps=solver._cell_loss) as cell_loss:
+        tracemalloc.start()
+        try:
+            # tau = 1e5 overshoots: the first trials of an iteration are rejected.
+            result = fit_pgd(obs, ConstraintSet(alpha=1.0, radius=2.0),
+                             SolverConfig(k=k, tau=1e5, max_iters=3, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert result.iterations_run == 3
+    assert cell_loss.call_count > result.iterations_run + 1  # some trial was rejected
+    assert peak < 1.5 * one_set
