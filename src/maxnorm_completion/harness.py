@@ -96,11 +96,15 @@ def make_ground_truth(d1: int, d2: int, rank: int, alpha: float, seed: int) -> n
     B = rng.random((d2, rank))
     M = A @ B.T
     # Iterate the rescale: one pass can land a unit in the last place short.
+    # The factors are nonnegative, so max |M| is max M; rounding is
+    # monotone, so after M *= c the max is exactly m * c.  M is scanned once.
+    m = M.max()
     for _ in range(4):
-        m = max(M.max(), -M.min())
         if m == alpha:
             break
-        M *= alpha / m
+        c = alpha / m
+        M *= c
+        m = m * c
     return M
 
 

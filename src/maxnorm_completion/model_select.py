@@ -130,9 +130,9 @@ def estimate_rank(P: PartialMatrix, cfg: RankSearchConfig) -> RankEstimate:
         errors.append((r, e))
         if best is None or e < best[0]:
             best = (e, r, result.completed)
-    # Free the last fit before RankEstimate copies two d1 x d2 arrays, so the
-    # copies can reuse its memory instead of growing the heap.
-    del result
+        # Free this fit, and its completion unless it is the best, before
+        # the next fit, and before RankEstimate copies two d1 x d2 arrays.
+        del result
     return RankEstimate(r_star=best[1], errors=tuple(errors), chosen=best[2],
                         profile_init=profile0)
 

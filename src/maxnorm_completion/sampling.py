@@ -8,7 +8,9 @@ array.  Each draw t observes Y_t = M0[i_t, j_t] + sigma * xi_t with
 fresh unit-variance noise per draw.  Both steps are seeded and reproducible:
 identical seeds give identical index sequences and identical noise.
 
-The index draw is inverse-CDF on the flattened distribution and equals
+A uniform index draw takes the row, then the column, from
+`Generator.integers`: O(n) time and memory on any grid.  A product or
+explicit draw is inverse-CDF on the flattened distribution and equals
 numpy's `Generator.choice` with `p` draw for draw.  It never holds the
 d1 x d2 CDF: it walks the grid in row blocks of at most CDF_BLOCK_CELLS
 cells, twice, carrying the running sum from block to block, so it holds
@@ -51,6 +53,8 @@ class SamplingDistribution:
     closed forms in the marginals for uniform and product.
 
     Zero cells are allowed here; `make_distribution` rejects them.
+    `sample_indices` draws a uniform distribution's rows and columns
+    directly, and walks the cell CDF of the other two kinds.
     """
 
     d1: int
@@ -252,13 +256,19 @@ def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
     """n i.i.d. with-replacement index draws, as an (n, 2) int64 array of
     (row, column) pairs, deterministic given seed.
 
-    The draw is inverse-CDF on the flattened distribution: n uniforms are
-    located in the normalized cumulative sum of `probs.ravel()`.  It equals
-    `Generator.choice(d1*d2, size=n, p=probs.ravel())` draw for draw: the
-    same uniforms, the same CDF values, the same search, no other random
-    numbers.  The CDF is never held whole.  The grid is walked in row
-    blocks of at most CDF_BLOCK_CELLS cells (one row if a row is longer),
-    each built into one reused buffer:
+    A uniform distribution draws n rows with `Generator.integers(0, d1)`,
+    then n columns with `Generator.integers(0, d2)`, from the sampling
+    stream: O(n) time and memory, with no d1*d2 product formed.
+
+    Product and explicit draws are inverse-CDF on the flattened
+    distribution: n uniforms are located in the normalized cumulative sum
+    of `probs.ravel()`.  (A product draw could search the row, then the
+    column marginal, but at d = 400 that measured slower than the walk.)
+    It equals `Generator.choice(d1*d2, size=n, p=probs.ravel())` draw for
+    draw: the same uniforms, the same CDF values, the same search, no other
+    random numbers.  The CDF is never held whole.  The grid is walked in
+    row blocks of at most CDF_BLOCK_CELLS cells (one row if a row is
+    longer), each built into one reused buffer:
 
       pass 1 makes `Generator.choice`'s checks and takes the CDF block by
              block, adding the running sum into each block's first cell
@@ -276,6 +286,12 @@ def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     d1, d2 = dist.d1, dist.d2
+    if dist.kind == "uniform":
+        rng = _rng.stream_rng(seed, _rng.SAMPLING)
+        out = np.empty((n, 2), dtype=np.int64)
+        out[:, 0] = rng.integers(0, d1, size=n)
+        out[:, 1] = rng.integers(0, d2, size=n)
+        return out
     step = max(1, CDF_BLOCK_CELLS // d2)
     blocks = [(r0, min(r0 + step, d1)) for r0 in range(0, d1, step)]
     buf = np.empty((min(step, d1), d2))

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -251,6 +252,25 @@ def test_estimate_rank_fits_each_rank_through_model_select_fit(monkeypatch):
     est = estimate_rank(P, cfg)
     assert calls == [(0.5, 0.5 * np.sqrt(r), replace(cfg.solver, k=r + 1)) for r in (2, 3, 4)]
     assert [r for r, _ in est.errors] == [2, 3, 4]
+
+
+def test_estimate_rank_frees_each_fit_before_the_next(monkeypatch):
+    # A candidate's result holds its cached d1 x d2 completion: it must be
+    # gone before the next candidate's fit starts.
+    rng = np.random.default_rng(23)
+    P = _partial(np.outer(rng.uniform(0.5, 1.0, 6), rng.uniform(0.5, 1.0, 6)))
+    cfg = RankSearchConfig(alpha0=1.0, r_max=4, solver=_solver_template(max_iters=50))
+    inner, results, alive = model_select.fit, [], []
+
+    def fit(obs, constraints, solver_cfg):
+        alive.append([ref() is not None for ref in results])
+        result = inner(obs, constraints, solver_cfg)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(model_select, "fit", fit)
+    estimate_rank(P, cfg)
+    assert alive == [[], [False], [False, False]]
 
 
 def test_rank_report_round_trip(tmp_path):

@@ -196,11 +196,10 @@ def _weight_lists(size):
 
 @st.composite
 def _distributions(draw):
-    """Uniform, product and explicit distributions; the last two with zero cells."""
+    """Product, explicit and point-mass distributions, the first two with zero
+    cells: the kinds whose draw walks the cell CDF."""
     d1, d2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    kind = draw(st.sampled_from(["uniform", "product", "explicit", "point"]))
-    if kind == "uniform":
-        return make_distribution("uniform", d1, d2)
+    kind = draw(st.sampled_from(["product", "explicit", "point"]))
     if kind == "product":
         row, col = np.array(draw(_weight_lists(d1))), np.array(draw(_weight_lists(d2)))
         return _with_zero_cells("product", row, col)
@@ -212,7 +211,7 @@ def _distributions(draw):
 @settings(deadline=None, max_examples=200)
 @given(dist=_distributions(), n=st.integers(1, 300), seed=st.integers(0, 2**63 - 1))
 @example(dist=_point_mass(3, 4, 2, 3), n=1, seed=0)
-@example(dist=make_distribution("uniform", 1, 1), n=1, seed=1)
+@example(dist=make_distribution("explicit", 1, 1, probs=np.ones((1, 1))), n=1, seed=1)
 def test_sample_indices_equals_generator_choice(dist, n, seed):
     idx = sample_indices(dist, n, seed)
     assert idx.dtype == np.int64 and idx.shape == (n, 2)
@@ -229,8 +228,8 @@ class _TieGenerator(np.random.Generator):
 
 def test_sample_indices_ties_equal_generator_choice():
     leading_zeros = np.array([[0.0, 0.25, 0.0, 0.25], [0.0, 0.0, 0.5, 0.0]])
-    dists = [make_distribution("uniform", 2, 2),
-             make_distribution("uniform", 2, 5),  # its unnormalized CDF ends below 1
+    dists = [make_distribution("explicit", 2, 2, probs=np.ones((2, 2))),
+             make_distribution("explicit", 2, 5, probs=np.ones((2, 5))),  # its CDF ends below 1
              _with_zero_cells("explicit", leading_zeros),
              _point_mass(3, 4, 2, 3)]
     tie_rng = lambda seed, stream: _TieGenerator(np.random.PCG64(seed))
@@ -247,6 +246,23 @@ def test_sample_indices_pinned_draws():
                              col_marginals=[7, 6, 5, 4, 3, 2, 1])
     assert sample_indices(dist, 8, seed=2013).tolist() == [
         [2, 0], [3, 0], [4, 0], [3, 2], [0, 4], [1, 0], [2, 2], [3, 0]]
+    assert sample_indices(make_distribution("uniform", 5, 7), 8, seed=2013).tolist() == [
+        [2, 3], [1, 0], [1, 1], [2, 0], [2, 6], [3, 2], [3, 0], [2, 2]]
+
+
+@settings(deadline=None, max_examples=200)
+@given(d1=st.integers(1, 2**32), d2=st.integers(1, 2**32), n=st.integers(1, 300),
+       seed=st.integers(0, 2**63 - 1))
+@example(d1=1, d2=1, n=1, seed=0)
+@example(d1=1, d2=2**32, n=7, seed=1)
+@example(d1=2**32, d2=2**32, n=300, seed=2)
+def test_uniform_sample_indices_equal_integers_reference(d1, d2, n, seed):
+    idx = sample_indices(make_distribution("uniform", d1, d2), n, seed)
+    rng = _rng.stream_rng(seed, _rng.SAMPLING)
+    rows = rng.integers(0, d1, size=n)
+    cols = rng.integers(0, d2, size=n)
+    assert idx.dtype == np.int64 and idx.shape == (n, 2) and idx.flags.c_contiguous
+    assert np.array_equal(idx, np.column_stack([rows, cols]))
 
 
 @settings(deadline=None, max_examples=200)
@@ -263,7 +279,9 @@ def test_sample_indices_in_row_blocks_equals_generator_choice(dist, n, seed, blo
 
 
 def test_sample_indices_holds_no_dense_cdf():
-    dist = make_distribution("uniform", 2000, 2000)
+    d = 2000
+    dist = make_distribution("product", d, d, row_marginals=np.arange(1.0, d + 1),
+                             col_marginals=np.ones(d))
     tracemalloc.start()
     try:
         idx = sample_indices(dist, 100_000, seed=3)
