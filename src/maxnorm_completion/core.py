@@ -114,19 +114,26 @@ def pi_weighted_sq_norm(M, distribution) -> float:
     marginals, with no d1 x d2 temporary: sum(M^2) / (d1*d2) and
     row_probs . (M^2 @ col_probs), each row summed in one pass and the rows
     reduced with _dot, so the bits do not depend on the BLAS thread count.
+
+    Every term is >= 0, NaN or inf, so a non-finite entry makes the sum
+    non-finite.  Only then is M scanned for it, which raises ValidationError.
     """
-    A = check_matrix(M)
+    A = np.asarray(M, dtype=np.float64)
     shape = (distribution.d1, distribution.d2)
     if shape != A.shape:
         raise ValidationError(
             f"distribution shape {shape} does not match matrix shape {A.shape}"
         )
     if distribution.kind == "uniform":
-        return float(np.einsum("ij,ij->", A, A) / A.size)
-    if distribution.kind == "product":
-        return _dot(distribution.row_probs, np.einsum("ij,ij,j->i", A, A,
-                                                      distribution.col_probs))
-    return float(np.einsum("ij,ij,ij->", distribution.cell_probs, A, A))
+        total = float(np.einsum("ij,ij->", A, A) / A.size)
+    elif distribution.kind == "product":
+        total = _dot(distribution.row_probs, np.einsum("ij,ij,j->i", A, A,
+                                                       distribution.col_probs))
+    else:
+        total = float(np.einsum("ij,ij,ij->", distribution.cell_probs, A, A))
+    if not np.isfinite(total):
+        check_matrix(A)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +159,17 @@ def _parse_rows(lines, dtype, what: str) -> np.ndarray:
         raise ValidationError(f"bad {what}: {exc}") from exc
 
 
-def format_dense(M) -> str:
-    A = check_matrix(M)
+def _dense_lines(A):
+    """The dense format of a checked matrix: the header line, then one line per row."""
     d1, d2 = A.shape
-    template = ",".join(["%.17g"] * d2)
-    lines = [f"{d1},{d2}"]
+    yield f"{d1},{d2}\n"
+    template = ",".join(["%.17g"] * d2) + "\n"
     for row in A:
-        lines.append(template % tuple(row.tolist()))
-    lines.append("")  # the final newline, without copying the joined text
-    return "\n".join(lines)
+        yield template % tuple(row.tolist())
+
+
+def format_dense(M) -> str:
+    return "".join(_dense_lines(check_matrix(M)))
 
 
 def parse_dense(text: str) -> np.ndarray:
@@ -175,8 +184,10 @@ def parse_dense(text: str) -> np.ndarray:
 
 
 def save_dense(path, M) -> None:
+    """Write M in the dense format one row at a time, never holding the whole text."""
+    A = check_matrix(M)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_dense(M))
+        fh.writelines(_dense_lines(A))
 
 
 def load_dense(path) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 A trial samples indices, observes a fixed ground truth under the noise
 model, fits the constrained estimator, and records the per-entry and
-sampling-weighted squared errors.  Trial seeds derive deterministically
+sampling-weighted squared errors.  The errors are summed in row blocks of
+the fitted product, so a trial builds no d1 x d2 array besides the truth it
+is given: no completion, no error matrix.  Trial seeds derive deterministically
 from (base seed, grid position, replicate), so runs are reproducible and
 trials could execute concurrently; records are always emitted sorted by
 (n, replicate).  fit_scaling_slope regresses log median error on log n,
@@ -15,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _rng
-from .core import ConstraintSet, ValidationError, _parse_rows, check_matrix, pi_weighted_sq_norm
-from .sampling import (NOISE_KINDS, NoiseModel, SamplingDistribution, make_distribution, observe,
-                       sample_indices)
+from .core import ConstraintSet, Factorization, ValidationError, _parse_rows, check_matrix
+from .sampling import (CDF_BLOCK_CELLS, NOISE_KINDS, NoiseModel, SamplingDistribution,
+                       make_distribution, observe, sample_indices)
 from .solver import DEFAULT_MAX_ITERS, DEFAULT_TAU, DEFAULT_TOL, SolverConfig, fit_pgd
 
 CSV_HEADER = ("n,replicate,seed,per_entry_mse,pi_weighted_mse,runtime_ms,"
@@ -114,19 +116,45 @@ def run_trial(M0, distribution, noise, constraints, solver_cfg, n, seed,
     if clock is None:
         clock = time.perf_counter
     M0 = check_matrix(M0, "M0")
+    if (distribution.d1, distribution.d2) != M0.shape:
+        raise ValidationError(f"distribution shape {(distribution.d1, distribution.d2)} "
+                              f"does not match M0 shape {M0.shape}")
     idx = sample_indices(distribution, n, seed)
     obs = observe(M0, idx, noise, seed)
     start = clock()
     result = fit_pgd(obs, constraints, replace(solver_cfg, seed=seed))
     runtime_ms = (clock() - start) * 1000.0
-    delta = result.completed - M0
-    per_entry = float((delta * delta).sum()) / (M0.shape[0] * M0.shape[1])
-    weighted = pi_weighted_sq_norm(delta, distribution)
-    return TrialRecord(n=n, replicate=-1, seed=seed, per_entry_mse=per_entry,
+    sq, weighted = _sq_errors(result.factorization, M0, distribution)
+    return TrialRecord(n=n, replicate=-1, seed=seed, per_entry_mse=sq / M0.size,
                        pi_weighted_mse=weighted, runtime_ms=runtime_ms,
                        iterations=result.iterations_run,
                        feasible_rows=result.feasible_rows,
                        feasible_linf=result.feasible_linf, status="ok")
+
+
+def _sq_errors(F: Factorization, M0: np.ndarray, distribution) -> tuple:
+    """sum (U V^T - M0)^2 and sum pi * (U V^T - M0)^2, as two floats.
+
+    Row blocks of at most CDF_BLOCK_CELLS cells (one row if a row is longer)
+    are multiplied out into one reused buffer, the truth subtracted in
+    place, and squared and summed by einsum, whose order does not depend on
+    the BLAS thread count.  The weights of every distribution kind come
+    from its `_rows_into`, into a second reused buffer.
+    """
+    U, V = F.U, F.V
+    d1, d2 = M0.shape
+    step = max(1, CDF_BLOCK_CELLS // d2)
+    D = np.empty((min(step, d1), d2))
+    W = np.empty_like(D)
+    sq = weighted = 0.0
+    for r0 in range(0, d1, step):
+        r1 = min(r0 + step, d1)
+        blk = np.matmul(U[r0:r1], V.T, out=D[:r1 - r0])
+        blk -= M0[r0:r1]
+        sq += float(np.einsum("ij,ij->", blk, blk))
+        w = distribution._rows_into(r0, r1, W[:r1 - r0])
+        weighted += float(np.einsum("ij,ij,ij->", w, blk, blk))
+    return sq, weighted
 
 
 def run_experiment(cfg: ExperimentConfig, clock=None) -> list:

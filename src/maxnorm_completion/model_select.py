@@ -7,16 +7,16 @@ then for each candidate rank r solves the constrained completion with
 radius alpha0 * sqrt(r) and scores the completion by the Frobenius distance
 between its profile and the initial one.  The r minimizing that distance is
 returned (smallest r on ties).  The candidate fits run on the observed
-cells themselves; the column-mean fill is the one d1 x d2 array built
-before them.
+cells themselves.  Besides the fill's profile, the search holds at most two
+completions at a time: the best so far and the candidate being scored.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (ConstraintSet, ValidationError, check_matrix, _dot, _frozen, _parse_rows,
-                   format_dense, parse_dense)
+from .core import (ConstraintSet, ValidationError, check_matrix, _dense_lines, _dot, _frozen,
+                   _parse_rows, format_dense, parse_dense)
 from .sampling import ObservationSet
 # Named `fit` here: bench/workloads.py::_fit_log patches model_select.fit to count candidate fits.
 from .solver import SolverConfig, _dedupe_observations, fit_pgd as fit
@@ -64,11 +64,9 @@ class RankEstimate:
     r_star: int
     errors: tuple  # ((r, e_r), ...) for r = 2..r_max
     chosen: np.ndarray  # completion at r_star
-    profile_init: np.ndarray  # magnitude profile of the column-mean fill
 
     def __post_init__(self):
         object.__setattr__(self, "chosen", _frozen(self.chosen))
-        object.__setattr__(self, "profile_init", _frozen(self.profile_init))
 
 
 def column_mean_init(P: PartialMatrix) -> np.ndarray:
@@ -124,17 +122,16 @@ def estimate_rank(P: PartialMatrix, cfg: RankSearchConfig) -> RankEstimate:
     errors = []
     best = None  # (error, r, completion)
     for r in range(2, cfg.r_max + 1):
-        result = fit(P, ConstraintSet(alpha=cfg.alpha0, radius=cfg.alpha0 * np.sqrt(r)),
-                     replace(cfg.solver, k=r + 1))
-        e = profile_distance(profile0, spectral_magnitude(result.completed))
+        # The fit's result is dropped at once; its completion is built once.
+        completed = fit(P, ConstraintSet(alpha=cfg.alpha0, radius=cfg.alpha0 * np.sqrt(r)),
+                        replace(cfg.solver, k=r + 1)).completed
+        e = profile_distance(profile0, spectral_magnitude(completed))
         errors.append((r, e))
         if best is None or e < best[0]:
-            best = (e, r, result.completed)
-        # Free this fit, and its completion unless it is the best, before
-        # the next fit, and before RankEstimate copies two d1 x d2 arrays.
-        del result
-    return RankEstimate(r_star=best[1], errors=tuple(errors), chosen=best[2],
-                        profile_init=profile0)
+            best = (e, r, completed)
+        # Free this completion, unless it is the best, before the next fit.
+        del completed
+    return RankEstimate(r_star=best[1], errors=tuple(errors), chosen=best[2])
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +162,11 @@ def parse_rank_report(text: str):
 
 
 def save_rank_report(path, est: RankEstimate) -> None:
+    """Write the report one line at a time, never holding the whole text."""
+    chosen = check_matrix(est.chosen)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(_rank_report_head(est))  # two writes: no copy of the dense text
-        fh.write(format_dense(est.chosen))
+        fh.write(_rank_report_head(est))
+        fh.writelines(_dense_lines(chosen))
 
 
 def load_rank_report(path):

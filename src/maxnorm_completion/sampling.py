@@ -35,6 +35,9 @@ NOISE_KINDS = ("gaussian", "laplace", "none")
 # holds at a time: 2 MB of float64.  A row longer than this is one block.
 CDF_BLOCK_CELLS = 1 << 18
 
+# Observation lines formatted per string when writing: about 120 kB of text.
+TEXT_BLOCK_ROWS = 1 << 12
+
 
 @dataclass(frozen=True, eq=False)
 class SamplingDistribution:
@@ -377,12 +380,18 @@ def observe(M0, indices, noise: NoiseModel, seed: int) -> ObservationSet:
 _OBSERVATION_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("y", np.float64)])
 
 
+def _observation_chunks(obs: ObservationSet):
+    """The observation format: the header line, then the observation lines,
+    TEXT_BLOCK_ROWS to a string."""
+    yield f"{obs.d1},{obs.d2},{obs.n}\n"
+    for t in range(0, obs.n, TEXT_BLOCK_ROWS):
+        i, j = obs.indices[t:t + TEXT_BLOCK_ROWS].T
+        y = obs.values[t:t + TEXT_BLOCK_ROWS]
+        yield "".join(map("%d,%d,%.17g\n".__mod__, zip(i.tolist(), j.tolist(), y.tolist())))
+
+
 def format_observations(obs: ObservationSet) -> str:
-    i, j = obs.indices.T
-    lines = [f"{obs.d1},{obs.d2},{obs.n}"]
-    lines.extend(map("%d,%d,%.17g".__mod__, zip(i.tolist(), j.tolist(), obs.values.tolist())))
-    lines.append("")  # the final newline, without copying the joined text
-    return "\n".join(lines)
+    return "".join(_observation_chunks(obs))
 
 
 def parse_observations(text: str) -> ObservationSet:
@@ -397,8 +406,9 @@ def parse_observations(text: str) -> ObservationSet:
 
 
 def save_observations(path, obs: ObservationSet) -> None:
+    """Write obs one block of lines at a time, never holding the whole text."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_observations(obs))
+        fh.writelines(_observation_chunks(obs))
 
 
 def load_observations(path) -> ObservationSet:

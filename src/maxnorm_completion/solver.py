@@ -31,13 +31,13 @@ max.  Usually a small share of the rows is scanned; in the worst case
 d1 rows, d1 d2 k flops plus an O(d1 log d1) sort.  Otherwise an iteration's
 time and memory are O((m + d1 + d2) k); the max holds at most one block of
 LINF_BLOCK_CELLS cells.
-SolveResult.completed builds the dense product only when it is read.
+SolveResult stores no d1 x d2 array: each read of `completed` builds a
+fresh dense product, which lives as long as the caller keeps it.
 
 The fit is deterministic given (observations, constraints, config).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -84,18 +84,22 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A fit's factors, objective per iteration and feasibility checks.
+
+    The completion is kept as its factors.  `completed` multiplies them
+    out on every read, so a caller that needs it more than once binds it.
+    """
+
     factorization: Factorization
     objective_trace: tuple
     iterations_run: int
     feasible_rows: bool
     feasible_linf: bool
 
-    @cached_property
+    @property
     def completed(self) -> np.ndarray:
-        """The completed matrix U @ V.T, built on first access and read-only."""
-        M = self.factorization.product()
-        M.flags.writeable = False
-        return M
+        """A new d1 x d2 array U @ V.T, owned by the caller; nothing is cached."""
+        return self.factorization.product()
 
 
 def default_factor_width(d1: int, d2: int) -> int:

@@ -80,9 +80,24 @@ def test_pi_weighted_marginal_forms_match_dense_einsum(d1, d2):
         pi_weighted_sq_norm(np.ones((d1 + 1, d2)), dist)
 
 
+def test_pi_weighted_rejects_non_finite_entries():
+    rng = np.random.default_rng(8)
+    probs = np.full((3, 4), 1.0 / 12)
+    probs[0, :2] = 0.0, 2.0 / 12  # a zero cell: its weight times inf is NaN
+    dists = _marginal_distributions(rng, 3, 4) + [
+        SamplingDistribution(d1=3, d2=4, kind="explicit", cell_probs=probs)]
+    for bad in (np.nan, np.inf, -np.inf):
+        for cell in ((0, 0), (2, 3)):
+            M = rng.normal(size=(3, 4))
+            M[cell] = bad
+            for dist in dists:
+                with pytest.raises(ValidationError, match="non-finite"):
+                    pi_weighted_sq_norm(M, dist)
+
+
 def test_pi_weighted_marginal_forms_build_no_dense_temporary():
-    # check_matrix's finiteness mask (d1*d2 bytes, 3.8 MB) is the only
-    # d1 x d2 temporary; a float64 one would take 30.5 MB.
+    # No d1 x d2 temporary: a float64 one would take 30.5 MB, the bool mask
+    # of a finiteness scan 3.8 MB.
     d = 2000
     M = np.random.default_rng(4).normal(size=(d, d))
     for dist in _marginal_distributions(np.random.default_rng(5), d, d):
@@ -123,8 +138,7 @@ def test_array_holding_value_types_compare_by_identity():
         lambda: make_distribution("explicit", 2, 2, probs=np.full((2, 2), 0.25)),
         lambda: ObservationSet(d1=2, d2=2, indices=[[0, 1], [1, 0]], values=[0.5, -0.5]),
         lambda: PartialMatrix(d1=2, d2=2, indices=[[0, 1], [1, 0]], values=[0.5, -0.5]),
-        lambda: RankEstimate(r_star=2, errors=((2, 0.1),), chosen=np.ones((2, 2)),
-                             profile_init=np.ones(2)),
+        lambda: RankEstimate(r_star=2, errors=((2, 0.1),), chosen=np.ones((2, 2))),
     ]
     for build in builders:
         x, y = build(), build()

@@ -1,13 +1,16 @@
 import math
 import re
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxnorm_completion import (
+    ConstraintSet,
     ExperimentConfig,
+    Factorization,
     NoiseModel,
     SolverConfig,
     TrialRecord,
@@ -19,7 +22,7 @@ from maxnorm_completion import (
     read_records_csv,
     run_experiment,
 )
-from maxnorm_completion import _rng
+from maxnorm_completion import _rng, harness
 from maxnorm_completion.harness import (
     CSV_HEADER,
     format_record,
@@ -195,6 +198,70 @@ def test_pi_weighted_mse_sandwiched_by_flatness(tmp_path):
         fro_sq = rec.per_entry_mse * d1d2
         assert rec.pi_weighted_mse <= dist.L / d1d2 * fro_sq + 1e-12
         assert rec.pi_weighted_mse >= fro_sq / (dist.mu * d1d2) - 1e-12
+
+
+@st.composite
+def _scored_fits(draw):
+    """Factors, a truth and a distribution of every kind, entries spread over
+    several orders of magnitude."""
+    d1, d2, k = draw(st.integers(1, 30)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = lambda shape: rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    kind = draw(st.sampled_from(["uniform", "product", "explicit"]))
+    marginal = lambda d: rng.uniform(0.01, 1.0, d)
+    dist = {"uniform": lambda: make_distribution("uniform", d1, d2),
+            "product": lambda: make_distribution("product", d1, d2, row_marginals=marginal(d1),
+                                                 col_marginals=marginal(d2)),
+            "explicit": lambda: make_distribution("explicit", d1, d2,
+                                                  probs=marginal((d1, d2)))}[kind]()
+    return Factorization(U=scale((d1, k)), V=scale((d2, k))), scale((d1, d2)), dist
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_scored_fits(), block_rows=st.sampled_from([None, 1, 2, 3]))
+def test_blocked_scores_match_dense_reference(case, block_rows):
+    F, M0, dist = case
+    (d1, d2), k = M0.shape, F.k
+    cells = harness.CDF_BLOCK_CELLS if block_rows is None else block_rows * d2
+    with patch.object(harness, "CDF_BLOCK_CELLS", cells):
+        sq, weighted = harness._sq_errors(F, M0, dist)
+    delta = F.product() - M0
+    # Each entry U_i . V_j - M0_ij errs by at most (k + 1) eps times the sum
+    # T_ij of its terms' magnitudes, and so its square by about 2 (k + 1) eps
+    # T_ij^2; summing d1 d2 nonnegative terms, in any order, adds d1 d2 eps of
+    # the total.  Both sides err that way, the weighted one by two roundings
+    # more.
+    T = np.abs(F.U) @ np.abs(F.V).T + np.abs(M0)
+    slack = 4 * (k + 4 + d1 * d2) * np.finfo(np.float64).eps
+    assert abs(sq - float((delta * delta).sum())) <= slack * float((T * T).sum())
+    assert (abs(weighted - float(np.einsum("ij,ij,ij->", dist.probs, delta, delta)))
+            <= slack * float(np.einsum("ij,ij,ij->", dist.probs, T, T)))
+
+
+def test_run_trial_builds_no_dense_array_beyond_the_truth():
+    # Dense scoring holds a completion, its error and the error squared:
+    # three d1 x d2 arrays, 96 MB here.  The blocks and the fit stay under
+    # half of one.
+    d, n = 2000, 80_000
+    M0 = make_ground_truth(d, d, 5, 1.0, 0)
+    dist = make_distribution("uniform", d, d)
+    tracemalloc.start()
+    try:
+        rec = harness.run_trial(M0, dist, NoiseModel("gaussian", 0.1),
+                                ConstraintSet(alpha=1.0, radius=math.sqrt(5)),
+                                SolverConfig(k=6, max_iters=6), n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.iterations == 6 and math.isfinite(rec.per_entry_mse)
+    assert peak < 0.5 * M0.nbytes
+
+
+def test_run_trial_rejects_a_distribution_of_another_shape():
+    with pytest.raises(ValidationError, match="does not match"):
+        harness.run_trial(np.ones((4, 3)), make_distribution("uniform", 3, 4),
+                          NoiseModel("none", 0.0), ConstraintSet(alpha=1.0, radius=1.0),
+                          SolverConfig(k=2, max_iters=2), 5, seed=0)
 
 
 def test_near_complete_noiseless_recovery():

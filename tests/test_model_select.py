@@ -206,7 +206,8 @@ def test_estimate_rank_full_rank_one_matrix():
     assert [r for r, _ in est.errors] == [2, 3, 4]
     assert all(e >= 0.0 for _, e in est.errors)
     # the chosen completion's profile distance is the error reported for r_star
-    assert (profile_distance(est.profile_init, spectral_magnitude(est.chosen))
+    assert (profile_distance(spectral_magnitude(column_mean_init(P)),
+                             spectral_magnitude(est.chosen))
             == dict(est.errors)[est.r_star])
 
 
@@ -318,7 +319,7 @@ def _rank_estimates(draw):
     chosen = np.array(draw(st.lists(_ANY_FINITE, min_size=d1 * d2, max_size=d1 * d2)))
     return RankEstimate(r_star=draw(st.integers(2, len(errors) + 1)),
                         errors=tuple(enumerate(errors, start=2)),
-                        chosen=chosen.reshape(d1, d2), profile_init=np.zeros((d1, d2)))
+                        chosen=chosen.reshape(d1, d2))
 
 
 @settings(deadline=None, max_examples=200)
