@@ -33,21 +33,15 @@ from .solver import (
     SolveResult,
     SolverConfig,
     default_factor_width,
-    empirical_loss_and_grad,
     fit_pgd,
-    init_factors,
-    linf_rescale,
-    project_factor_rows,
 )
 from .model_select import (
     PartialMatrix,
     RankEstimate,
     RankSearchConfig,
-    column_mean_init,
     estimate_rank,
     load_rank_report,
     save_rank_report,
-    spectral_magnitude,
 )
 from .theory import (
     RateParams,

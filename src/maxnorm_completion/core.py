@@ -9,6 +9,7 @@ distribution.
 """
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -137,23 +138,42 @@ def pi_weighted_sq_norm(M, distribution) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Text formats.  Every reader parses its numeric lines, headers included,
-# with numpy (`_parse_rows`).  A malformed line -- a token that is not a
-# number of its column's type, a row of the wrong width, a "#" comment -- or
-# a missing one raises ValidationError naming the format.  Blank lines are
-# skipped.
+# Text formats.  Each format has one writer, `save_*`, which writes a line or
+# a block of lines at a time, and one reader, `load_*`, which streams its open
+# file: `_nonblank_lines` yields the stripped lines that are not blank, each
+# header is one line taken from that stream, and numpy parses the rest
+# (`_parse_rows`), so no reader holds the text or a list of its lines.  Line
+# counts are checked on the parsed arrays.  A malformed line -- a token that
+# is not a number of its column's type, a row of the wrong width, a "#"
+# comment -- or a missing one raises ValidationError naming the format.
+# Blank and whitespace-only lines are skipped.
 #
 # Dense matrix interchange format: first line "d1,d2", then d1 lines of d2
 # comma-separated decimals.  Values survive a round trip (17 significant
 # digits covers IEEE doubles exactly).
 
+def _nonblank_lines(fh):
+    """The lines of the open text file `fh` that are not blank, stripped.
+
+    np.loadtxt on a stream fails on a whitespace-only line ("the number of
+    columns changed"), so every reader takes its lines from here.
+    """
+    return (s for s in map(str.strip, fh) if s)
+
+
 def _parse_rows(lines, dtype, what: str) -> np.ndarray:
-    """Nonblank comma-separated lines as one record (structured dtype) or row each."""
-    if not lines:
+    """The lines of the iterator `lines`, read to its end, as one record
+    (structured dtype) or row each.
+
+    The first line is taken here: np.loadtxt warns on an empty input, and a
+    missing line is a ValidationError like a malformed one.
+    """
+    first = next(lines, None)
+    if first is None:
         raise ValidationError(f"missing {what}")
     dtype = np.dtype(dtype)
     try:
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+        return np.loadtxt(chain([first], lines), dtype=dtype, delimiter=",", comments=None,
                           ndmin=1 if dtype.names else 2)
     except ValueError as exc:
         raise ValidationError(f"bad {what}: {exc}") from exc
@@ -168,16 +188,12 @@ def _dense_lines(A):
         yield template % tuple(row.tolist())
 
 
-def format_dense(M) -> str:
-    return "".join(_dense_lines(check_matrix(M)))
-
-
-def parse_dense(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    d1, d2 = _parse_rows(lines[:1], "i8,i8", "dense matrix header")[0].tolist()
-    if len(lines) != 1 + d1:
-        raise ValidationError(f"expected {d1} dense matrix rows, found {len(lines) - 1}")
-    A = _parse_rows(lines[1:], np.float64, "dense matrix row")
+def _read_dense(lines) -> np.ndarray:
+    """The dense matrix whose header is the next of `lines`, read to their end."""
+    d1, d2 = _parse_rows(islice(lines, 1), "i8,i8", "dense matrix header")[0].tolist()
+    A = _parse_rows(lines, np.float64, "dense matrix row")
+    if A.shape[0] != d1:
+        raise ValidationError(f"expected {d1} dense matrix rows, found {A.shape[0]}")
     if A.shape[1] != d2:
         raise ValidationError(f"expected {d2} dense matrix columns, found {A.shape[1]}")
     return check_matrix(A)
@@ -192,4 +208,4 @@ def save_dense(path, M) -> None:
 
 def load_dense(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_dense(fh.read())
+        return _read_dense(_nonblank_lines(fh))

@@ -13,17 +13,22 @@ which is how the sqrt(d/n) convergence rate is checked empirically.
 
 import time
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from . import _rng
-from .core import ConstraintSet, Factorization, ValidationError, _parse_rows, check_matrix
+from .core import (ConstraintSet, Factorization, ValidationError, _nonblank_lines, _parse_rows,
+                   check_matrix)
 from .sampling import (CDF_BLOCK_CELLS, NOISE_KINDS, NoiseModel, SamplingDistribution,
                        make_distribution, observe, sample_indices)
 from .solver import DEFAULT_MAX_ITERS, DEFAULT_TAU, DEFAULT_TOL, SolverConfig, fit_pgd
 
 CSV_HEADER = ("n,replicate,seed,per_entry_mse,pi_weighted_mse,runtime_ms,"
               "iterations,feasible_rows,feasible_linf,status")
+# The tokens of the two feasibility columns, and the statuses a records CSV may hold.
+_CSV_FLAGS = {"true": True, "false": False}
+_STATUSES = ("ok", "diverged")
 
 RADIUS_RULE_SQRT_RANK = "alpha_sqrt_rank"
 
@@ -200,16 +205,23 @@ def format_record(rec: TrialRecord) -> str:
 
 def read_records_csv(path) -> list:
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValidationError(f"bad records CSV header in {path}")
-    if len(lines) == 1:
-        return []  # a run that has not finished a trial yet
-    # The columns of CSV_HEADER; the two feasibility flags and the status stay strings.
-    rows = _parse_rows(lines[1:], "i8,i8,i8,f8,f8,f8,i8,O,O,O", "records CSV row")
-    return [TrialRecord(*row[:7], feasible_rows=row[7] == "true",
-                        feasible_linf=row[8] == "true", status=row[9])
-            for row in rows.tolist()]
+        lines = _nonblank_lines(fh)
+        if next(lines, None) != CSV_HEADER:
+            raise ValidationError(f"bad records CSV header in {path}")
+        first = next(lines, None)
+        if first is None:
+            return []  # a run that has not finished a trial yet
+        # The columns of CSV_HEADER; the two feasibility flags and the status stay strings.
+        rows = _parse_rows(chain([first], lines), "i8,i8,i8,f8,f8,f8,i8,O,O,O",
+                           "records CSV row").tolist()
+    records = []
+    for row in rows:
+        if row[7] not in _CSV_FLAGS or row[8] not in _CSV_FLAGS or row[9] not in _STATUSES:
+            raise ValidationError(f"bad records CSV row {row}: the flags must be true or "
+                                  f"false, the status one of {_STATUSES}")
+        records.append(TrialRecord(*row[:7], feasible_rows=_CSV_FLAGS[row[7]],
+                                   feasible_linf=_CSV_FLAGS[row[8]], status=row[9]))
+    return records
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (ConstraintSet, ValidationError, check_matrix, _dense_lines, _dot, _frozen,
-                   _parse_rows, format_dense, parse_dense)
+                   _nonblank_lines, _parse_rows, _read_dense)
 from .sampling import ObservationSet
 # Named `fit` here: bench/workloads.py::_fit_log patches model_select.fit to count candidate fits.
 from .solver import SolverConfig, _dedupe_observations, fit_pgd as fit
@@ -136,39 +136,40 @@ def estimate_rank(P: PartialMatrix, cfg: RankSearchConfig) -> RankEstimate:
 
 # ---------------------------------------------------------------------------
 # Report format: one "r,e_r" line per candidate, a line with the chosen r,
-# then the completed matrix in the dense interchange format.
-
-def _rank_report_head(est: RankEstimate) -> str:
-    return "".join(f"{r},{e:.17g}\n" for r, e in est.errors) + f"{est.r_star}\n"
-
-
-def format_rank_report(est: RankEstimate) -> str:
-    return _rank_report_head(est) + format_dense(est.chosen)
-
-
-def parse_rank_report(text: str):
-    """Returns (errors, r_star, completion).
-
-    The chosen-rank line is the first line without a comma.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    pos = next((t for t, ln in enumerate(lines) if "," not in ln), None)
-    if pos is None:
-        raise ValidationError("rank report missing chosen-rank line")
-    errors = _parse_rows(lines[:pos], "i8,f8", "rank report error row").tolist()
-    r_star = int(_parse_rows(lines[pos:pos + 1], np.int64, "rank report chosen-rank line")[0, 0])
-    completion = parse_dense("\n".join(lines[pos + 1:]))
-    return errors, r_star, completion
-
+# then the completed matrix in the dense interchange format.  The writer
+# writes a line at a time; the reader streams the file's nonblank lines,
+# collecting the error rows up to the first line with no comma and handing
+# the rest of the same stream to the dense reader (see `core`).
 
 def save_rank_report(path, est: RankEstimate) -> None:
     """Write the report one line at a time, never holding the whole text."""
     chosen = check_matrix(est.chosen)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(_rank_report_head(est))
+        fh.writelines(f"{r},{e:.17g}\n" for r, e in est.errors)
+        fh.write(f"{est.r_star}\n")
         fh.writelines(_dense_lines(chosen))
 
 
 def load_rank_report(path):
+    """Returns (errors, r_star, completion).
+
+    The chosen-rank line is the first line without a comma, and the rank it
+    names must be one of the error rows'.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        return parse_rank_report(fh.read())
+        lines = _nonblank_lines(fh)
+        error_rows = []
+        for ln in lines:
+            if "," not in ln:
+                chosen_line = ln
+                break
+            error_rows.append(ln)
+        else:
+            raise ValidationError("rank report missing chosen-rank line")
+        errors = _parse_rows(iter(error_rows), "i8,f8", "rank report error row").tolist()
+        r_star = int(_parse_rows(iter([chosen_line]), np.int64,
+                                 "rank report chosen-rank line")[0, 0])
+        if r_star not in {r for r, _ in errors}:
+            raise ValidationError(f"rank report chosen-rank line names r = {r_star}, "
+                                  f"which no error row lists")
+        return errors, r_star, _read_dense(lines)

@@ -18,11 +18,12 @@ O(n + one block) memory whatever the grid (see `sample_indices`).
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from . import _rng
-from .core import ValidationError, check_matrix, _frozen, _parse_rows
+from .core import ValidationError, check_matrix, _frozen, _nonblank_lines, _parse_rows
 
 PROB_SUM_TOL = 1e-9
 
@@ -368,10 +369,12 @@ def observe(M0, indices, noise: NoiseModel, seed: int) -> ObservationSet:
 
 
 # ---------------------------------------------------------------------------
-# File formats.  numpy parses the numeric lines (`core._parse_rows`); a
-# malformed row -- an index that is not an integer, a value that is not a
-# number, a row of the wrong width, a "#" comment -- raises ValidationError
-# naming the format.
+# File formats, written and read as the dense format is (see `core`): each
+# `save_*` writes a line or a block of lines at a time, and each `load_*`
+# streams its file's nonblank lines, a header line at a time, into numpy
+# (`core._parse_rows`).  A malformed row -- an index that is not an integer,
+# a value that is not a number, a row of the wrong width, a "#" comment --
+# raises ValidationError naming the format.
 #
 # Observations: header "d1,d2,n", then n lines "i,j,y" (0-based indices).
 # Distribution: "d1,d2", then "uniform" | "product" + the two marginals as
@@ -380,91 +383,63 @@ def observe(M0, indices, noise: NoiseModel, seed: int) -> ObservationSet:
 _OBSERVATION_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("y", np.float64)])
 
 
-def _observation_chunks(obs: ObservationSet):
-    """The observation format: the header line, then the observation lines,
-    TEXT_BLOCK_ROWS to a string."""
-    yield f"{obs.d1},{obs.d2},{obs.n}\n"
-    for t in range(0, obs.n, TEXT_BLOCK_ROWS):
-        i, j = obs.indices[t:t + TEXT_BLOCK_ROWS].T
-        y = obs.values[t:t + TEXT_BLOCK_ROWS]
-        yield "".join(map("%d,%d,%.17g\n".__mod__, zip(i.tolist(), j.tolist(), y.tolist())))
-
-
-def format_observations(obs: ObservationSet) -> str:
-    return "".join(_observation_chunks(obs))
-
-
-def parse_observations(text: str) -> ObservationSet:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    d1, d2, n = _parse_rows(lines[:1], "i8,i8,i8", "observation header")[0].tolist()
-    if len(lines) != 1 + n:
-        raise ValidationError(f"expected {n} observations, found {len(lines) - 1}")
-    rows = _parse_rows(lines[1:], _OBSERVATION_ROW, "observation row")
-    del lines  # before the index and value copies, which would otherwise raise the peak
-    return ObservationSet(d1=d1, d2=d2, indices=np.column_stack([rows["i"], rows["j"]]),
-                          values=rows["y"])
-
-
 def save_observations(path, obs: ObservationSet) -> None:
-    """Write obs one block of lines at a time, never holding the whole text."""
+    """Write obs one block of TEXT_BLOCK_ROWS lines at a time, never holding the whole text."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines(_observation_chunks(obs))
+        fh.write(f"{obs.d1},{obs.d2},{obs.n}\n")
+        for t in range(0, obs.n, TEXT_BLOCK_ROWS):
+            i, j = obs.indices[t:t + TEXT_BLOCK_ROWS].T
+            y = obs.values[t:t + TEXT_BLOCK_ROWS]
+            fh.write("".join(map("%d,%d,%.17g\n".__mod__,
+                                 zip(i.tolist(), j.tolist(), y.tolist()))))
 
 
 def load_observations(path) -> ObservationSet:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_observations(fh.read())
+        lines = _nonblank_lines(fh)
+        d1, d2, n = _parse_rows(islice(lines, 1), "i8,i8,i8", "observation header")[0].tolist()
+        rows = _parse_rows(lines, _OBSERVATION_ROW, "observation row")
+    if rows.size != n:
+        raise ValidationError(f"expected {n} observations, found {rows.size}")
+    return ObservationSet(d1=d1, d2=d2, indices=np.column_stack([rows["i"], rows["j"]]),
+                          values=rows["y"])
 
 
-def format_distribution(dist: SamplingDistribution) -> str:
-    lines = [f"{dist.d1},{dist.d2}"]
-    if dist.kind == "uniform":
-        lines.append("uniform")
-    elif dist.kind == "product":
-        lines.append("product")
-        lines.append(",".join(f"{x:.17g}" for x in dist.row_marginals))
-        lines.append(",".join(f"{x:.17g}" for x in dist.col_marginals))
-    else:
-        lines.append("explicit")
-        for row in dist.probs:
-            lines.append(",".join(f"{x:.17g}" for x in row))
-    return "\n".join(lines) + "\n"
+def save_distribution(path, dist: SamplingDistribution) -> None:
+    """Write dist a line at a time: the shape, the kind, then the marginals
+    of a product distribution or the probability rows of an explicit one."""
+    rows = {"uniform": (), "product": (dist.row_marginals, dist.col_marginals),
+            "explicit": dist.cell_probs}[dist.kind]
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"{dist.d1},{dist.d2}\n{dist.kind}\n")
+        fh.writelines(",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
 
 
-def parse_distribution(text: str) -> SamplingDistribution:
-    """The distribution that `format_distribution` wrote.
+def load_distribution(path) -> SamplingDistribution:
+    """The distribution that `save_distribution` wrote.
 
     Uniform and product files come back bit for bit: a product file holds
     the marginals as they were given, and they are normalized again the same
     way.  An explicit file holds the normalized probabilities, which
     `make_distribution` normalizes once more, so their last bits may move.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise ValidationError("distribution text needs a header and a kind line")
-    d1, d2 = _parse_rows(lines[:1], "i8,i8", "distribution header")[0].tolist()
-    kind = lines[1]
-    if kind == "uniform":
-        return make_distribution("uniform", d1, d2)
-    if kind == "product":
-        if len(lines) != 4:
-            raise ValidationError("product distribution needs two marginal lines")
-        row = _parse_rows(lines[2:3], np.float64, "product row marginal")[0]
-        col = _parse_rows(lines[3:4], np.float64, "product column marginal")[0]
-        return make_distribution("product", d1, d2, row_marginals=row, col_marginals=col)
-    if kind == "explicit":
-        if len(lines) != 2 + d1:
-            raise ValidationError(f"explicit distribution needs {d1} probability rows")
-        probs = _parse_rows(lines[2:], np.float64, "explicit distribution row")
-        return make_distribution("explicit", d1, d2, probs=probs)
-    raise ValidationError(f"unknown distribution kind {kind!r}")
-
-
-def save_distribution(path, dist: SamplingDistribution) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_distribution(dist))
-
-
-def load_distribution(path) -> SamplingDistribution:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_distribution(fh.read())
+        lines = _nonblank_lines(fh)
+        d1, d2 = _parse_rows(islice(lines, 1), "i8,i8", "distribution header")[0].tolist()
+        kind = next(lines, None)
+        if kind == "uniform":
+            return make_distribution("uniform", d1, d2)
+        if kind == "product":
+            row = _parse_rows(islice(lines, 1), np.float64, "product row marginal")[0]
+            col = _parse_rows(islice(lines, 1), np.float64, "product column marginal")[0]
+            if next(lines, None) is not None:
+                raise ValidationError("product distribution needs two marginal lines")
+            return make_distribution("product", d1, d2, row_marginals=row, col_marginals=col)
+        if kind == "explicit":
+            probs = _parse_rows(lines, np.float64, "explicit distribution row")
+            if probs.shape[0] != d1:
+                raise ValidationError(f"explicit distribution needs {d1} probability rows")
+            return make_distribution("explicit", d1, d2, probs=probs)
+    if kind is None:
+        raise ValidationError("distribution file needs a header and a kind line")
+    raise ValidationError(f"unknown distribution kind {kind!r}")

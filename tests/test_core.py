@@ -15,8 +15,19 @@ from maxnorm_completion import (
     make_distribution,
     pi_weighted_sq_norm,
 )
-from maxnorm_completion.core import (check_matrix, format_dense, load_dense, parse_dense,
-                                     save_dense)
+from maxnorm_completion.core import check_matrix, load_dense, save_dense
+
+
+def _saved_text(tmp_path, M) -> str:
+    path = tmp_path / "m.dense"
+    save_dense(path, M)
+    return path.read_text(encoding="ascii")
+
+
+def _load_text(tmp_path, text: str) -> np.ndarray:
+    path = tmp_path / "m.dense"
+    path.write_text(text, encoding="ascii")
+    return load_dense(path)
 
 
 def test_non_finite_entries_rejected():
@@ -158,29 +169,29 @@ def test_dense_round_trip_exact(tmp_path):
     assert np.array_equal(back, M)
 
 
-def test_dense_format_header_and_layout():
-    text = format_dense(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+def test_dense_format_header_and_layout(tmp_path):
+    text = _saved_text(tmp_path, np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     lines = text.splitlines()
     assert lines[0] == "3,2"
     assert lines[1] == "1,2"
     assert len(lines) == 4
 
 
-def test_dense_format_is_byte_exact():
+def test_dense_format_is_byte_exact(tmp_path):
     values = [-0.0, 5e-324, 1e300, 2.0 ** 60, -1 / 3, 0.1]
     M = np.array([values, values[::-1]])
-    lines = format_dense(M).splitlines()
+    lines = _saved_text(tmp_path, M).splitlines()
     assert lines[1:] == [",".join(f"{x:.17g}" for x in row) for row in M.tolist()]
     assert lines[1] == "-0,4.9406564584124654e-324,1.0000000000000001e+300,1.152921504606847e+18,-0.33333333333333331,0.10000000000000001"
 
 
-def test_parse_dense_rejects_bad_shapes():
+def test_parse_dense_rejects_bad_shapes(tmp_path):
     with pytest.raises(ValidationError):
-        parse_dense("2,2\n1,2\n")
+        _load_text(tmp_path, "2,2\n1,2\n")
     with pytest.raises(ValidationError):
-        parse_dense("1,3\n1,2\n")
+        _load_text(tmp_path, "1,3\n1,2\n")
     with pytest.raises(ValidationError):
-        parse_dense("")
+        _load_text(tmp_path, "")
     for text in ["1,2\n1,x\n",  # not a number
                  "1,2\n1,1_0\n",  # float() reads underscores; the format has none
                  "1,2\n1,2 # note\n",  # "#" starts no comment
@@ -188,11 +199,11 @@ def test_parse_dense_rejects_bad_shapes():
                  "2,2\n1,2\n3\n",  # a row narrower than the first
                  "0,2\n"]:  # a header and no rows
         with pytest.raises(ValidationError, match="dense matrix"):
-            parse_dense(text)
+            _load_text(tmp_path, text)
 
 
-def test_parse_dense_skips_blank_lines():
-    assert np.array_equal(parse_dense("\n2,1\n \n1\n\t\n2\n\n"), [[1.0], [2.0]])
+def test_parse_dense_skips_blank_lines(tmp_path):
+    assert np.array_equal(_load_text(tmp_path, "\n2,1\n \n1\n\t\n2\n\n"), [[1.0], [2.0]])
 
 
 _ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
@@ -205,8 +216,10 @@ _EDGE_VALUES = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
     lambda d2: st.lists(st.lists(_ANY_FINITE, min_size=d2, max_size=d2), min_size=1, max_size=6)))
 @example([_EDGE_VALUES, _EDGE_VALUES[::-1]])
 @example([[1.0]])
-def test_dense_round_trip_is_bit_identical(rows):
+def test_dense_round_trip_is_bit_identical(tmp_path_factory, rows):
     M = np.array(rows, dtype=np.float64)
-    back = parse_dense(format_dense(M))
+    path = tmp_path_factory.mktemp("dense") / "m.dense"
+    save_dense(path, M)
+    back = load_dense(path)
     assert back.shape == M.shape
     assert np.array_equal(back.view(np.int64), M.view(np.int64))

@@ -323,7 +323,10 @@ def test_csv_round_trip(tmp_path):
                  row.replace("7", "7.5"),  # iterations is an integer
                  row + ",extra",  # too wide
                  row.rsplit(",", 1)[0],  # too narrow
-                 row.replace("0.25", "0.25 # note")]:  # "#" starts no comment
+                 row.replace("0.25", "0.25 # note"),  # "#" starts no comment
+                 row.replace("true", "maybe", 1),  # a flag is true or false
+                 row.replace("true,ok", "TRUE,ok"),
+                 row.replace("ok", "whatever")]:  # the status is ok or diverged
         path.write_text(f"{CSV_HEADER}\n{body}\n")
         with pytest.raises(ValidationError, match="records CSV"):
             read_records_csv(path)

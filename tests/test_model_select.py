@@ -12,17 +12,15 @@ from maxnorm_completion import (
     RankSearchConfig,
     SolverConfig,
     ValidationError,
-    column_mean_init,
     estimate_rank,
-    spectral_magnitude,
 )
 from maxnorm_completion import model_select, solver
 from maxnorm_completion.model_select import (
-    format_rank_report,
+    column_mean_init,
     load_rank_report,
-    parse_rank_report,
     profile_distance,
     save_rank_report,
+    spectral_magnitude,
 )
 
 
@@ -283,7 +281,9 @@ def test_rank_report_round_trip(tmp_path):
     est = estimate_rank(P, cfg)
     path = tmp_path / "rank.report"
     save_rank_report(path, est)
-    assert path.read_text() == format_rank_report(est)
+    lines = [f"{r},{e:.17g}" for r, e in est.errors] + [str(est.r_star), "%d,%d" % est.chosen.shape]
+    lines += [",".join(f"{x:.17g}" for x in row) for row in est.chosen.tolist()]
+    assert path.read_text() == "\n".join(lines) + "\n"
     errors, r_star, completion = load_rank_report(path)
     assert r_star == est.r_star
     assert [r for r, _ in errors] == [r for r, _ in est.errors]
@@ -292,9 +292,15 @@ def test_rank_report_round_trip(tmp_path):
     assert np.array_equal(completion, est.chosen)
 
 
-def test_parse_rank_report_rejects_missing_rank_line():
+def _load_report_text(tmp_path, text: str):
+    path = tmp_path / "rank.report"
+    path.write_text(text, encoding="ascii")
+    return load_rank_report(path)
+
+
+def test_parse_rank_report_rejects_missing_rank_line(tmp_path):
     with pytest.raises(ValidationError):
-        parse_rank_report("2,0.5\n3,0.4\n")
+        _load_report_text(tmp_path, "2,0.5\n3,0.4\n")
     dense = "1,1\n5\n"
     for text, what in [("2,abc\n2\n" + dense, "rank report error"),  # not a number
                        ("2.5,0.5\n2\n" + dense, "rank report error"),  # r is an integer
@@ -302,10 +308,11 @@ def test_parse_rank_report_rejects_missing_rank_line():
                        ("2,0.5,1\n2\n" + dense, "rank report error"),  # too wide
                        ("2\n" + dense, "rank report error"),  # no error rows
                        ("2,0.5\nx\n" + dense, "chosen-rank"),
+                       ("2,0.5\n3,0.4\n7\n" + dense, "chosen-rank"),  # a rank no row lists
                        ("2,0.5\n2\n1,1\n5,6\n", "dense matrix")]:
         with pytest.raises(ValidationError, match=what):
-            parse_rank_report(text)
-    errors, r_star, completion = parse_rank_report("\n2,0.5\n \n2\n\t\n" + dense)
+            _load_report_text(tmp_path, text)
+    errors, r_star, completion = _load_report_text(tmp_path, "\n2,0.5\n \n2\n\t\n" + dense)
     assert (errors, r_star, completion.tolist()) == ([(2, 0.5)], 2, [[5.0]])
 
 
@@ -324,8 +331,10 @@ def _rank_estimates(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(est=_rank_estimates())
-def test_rank_report_round_trip_is_bit_identical(est):
-    errors, r_star, completion = parse_rank_report(format_rank_report(est))
+def test_rank_report_round_trip_is_bit_identical(tmp_path_factory, est):
+    path = tmp_path_factory.mktemp("rank") / "rank.report"
+    save_rank_report(path, est)
+    errors, r_star, completion = load_rank_report(path)
     assert r_star == est.r_star
     assert [r for r, _ in errors] == [r for r, _ in est.errors]
     bits = lambda es: np.array([e for _, e in es]).view(np.int64).tolist()

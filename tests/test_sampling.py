@@ -17,15 +17,23 @@ from maxnorm_completion import (
     sampling,
 )
 from maxnorm_completion.sampling import (
-    format_distribution,
-    format_observations,
     load_distribution,
     load_observations,
-    parse_distribution,
-    parse_observations,
     save_distribution,
     save_observations,
 )
+
+
+def _saved_text(directory, save, value) -> str:
+    path = directory / "saved.txt"
+    save(path, value)
+    return path.read_text(encoding="ascii")
+
+
+def _load_text(directory, load, text: str):
+    path = directory / "loaded.txt"
+    path.write_text(text, encoding="ascii")
+    return load(path)
 
 
 def test_uniform_distribution():
@@ -377,17 +385,37 @@ def test_observation_round_trip(tmp_path):
     assert np.array_equal(back.values, obs.values)
 
 
-def test_observation_format_header():
+def test_load_observations_streams_its_file(tmp_path):
+    n = 1 << 16
+    rng = np.random.default_rng(5)
+    obs = ObservationSet(d1=1000, d2=1000, indices=rng.integers(0, 1000, (n, 2)),
+                         values=rng.normal(size=n))
+    path = tmp_path / "obs.csv"
+    save_observations(path, obs)
+    tracemalloc.start()
+    try:
+        back = load_observations(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.n == n
+    # The parsed records and the two returned arrays take 2x; the text and a
+    # list of its lines would add about 4x more.
+    assert peak <= 3 * (back.indices.nbytes + back.values.nbytes)
+
+
+def test_observation_format_header(tmp_path):
     obs = ObservationSet(d1=2, d2=2, indices=np.array([[0, 1]]), values=np.array([0.5]))
-    text = format_observations(obs)
+    text = _saved_text(tmp_path, save_observations, obs)
     assert text.splitlines()[0] == "2,2,1"
     assert text.splitlines()[1] == "0,1,0.5"
     with pytest.raises(ValidationError):
-        parse_observations("2,2,2\n0,1,0.5\n")
+        _load_text(tmp_path, load_observations, "2,2,2\n0,1,0.5\n")
 
 
-def test_parse_observations_rejects_malformed_rows():
-    obs = parse_observations("2,2,2\n \n0,1,0.5\n\t\n1,1,-2\n\n")  # blank lines are skipped
+def test_parse_observations_rejects_malformed_rows(tmp_path):
+    # Blank and whitespace-only lines are skipped.
+    obs = _load_text(tmp_path, load_observations, "2,2,2\n \n0,1,0.5\n\t\n1,1,-2\n\n")
     assert obs.indices.tolist() == [[0, 1], [1, 1]] and obs.values.tolist() == [0.5, -2.0]
     for text in ["2,2,1\n1.5,0,1\n",  # an index is an integer
                  "2,2,1\n0,0,abc\n",  # not a number
@@ -398,7 +426,7 @@ def test_parse_observations_rejects_malformed_rows():
                  "2,2,0\n",  # a header and no rows
                  "2,2,1\n"]:  # a header and a missing row
         with pytest.raises(ValidationError, match="observation"):
-            parse_observations(text)
+            _load_text(tmp_path, load_observations, text)
 
 
 _ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
@@ -418,21 +446,22 @@ def _observation_sets(draw):
 @example(obs=ObservationSet(d1=3, d2=3, indices=np.array([[0, 0], [1, 2], [2, 1], [2, 2]]),
                             values=np.array([-0.0, 5e-324, 1.7976931348623157e308,
                                              -1.7976931348623157e308])))
-def test_observation_round_trip_is_bit_identical(obs):
-    back = parse_observations(format_observations(obs))
+def test_observation_round_trip_is_bit_identical(tmp_path_factory, obs):
+    directory = tmp_path_factory.mktemp("observations")
+    back = _load_text(directory, load_observations, _saved_text(directory, save_observations, obs))
     assert (back.d1, back.d2) == (obs.d1, obs.d2)
     assert np.array_equal(back.indices, obs.indices)
     assert np.array_equal(back.values.view(np.int64), obs.values.view(np.int64))
 
 
-def test_observation_format_is_byte_exact():
+def test_observation_format_is_byte_exact(tmp_path):
     values = [-0.0, 5e-324, 1e300, 2.0 ** 60, -1 / 3, 0.1]
     idx = np.array([[0, 1], [999_999, 1_000_000], [1_234_567, 7], [3, 2_000_000],
                     [1_999_999, 0], [5, 5]])
     obs = ObservationSet(d1=2_000_001, d2=2_000_001, indices=idx, values=np.array(values))
     old = [f"{obs.d1},{obs.d2},{obs.n}"]
     old += [f"{i},{j},{y:.17g}" for (i, j), y in zip(obs.indices, obs.values)]
-    text = format_observations(obs)
+    text = _saved_text(tmp_path, save_observations, obs)
     assert text == "\n".join(old) + "\n"
     assert text.splitlines()[2:4] == ["999999,1000000,4.9406564584124654e-324",
                                       "1234567,7,1.0000000000000001e+300"]
@@ -455,10 +484,12 @@ def test_distribution_round_trip(tmp_path):
 
 @settings(deadline=None, max_examples=200)
 @given(marginals=_marginal_pairs(st.floats(0.0, 1.0).map(lambda w: w + 1e-3)))
-def test_product_distribution_round_trip_is_bit_identical(marginals):
+def test_product_distribution_round_trip_is_bit_identical(tmp_path_factory, marginals):
     row, col = marginals
     dist = make_distribution("product", row.size, col.size, row_marginals=row, col_marginals=col)
-    back = parse_distribution(format_distribution(dist))
+    path = tmp_path_factory.mktemp("distribution") / "product.dist"
+    save_distribution(path, dist)
+    back = load_distribution(path)
     assert (back.kind, back.d1, back.d2) == ("product", dist.d1, dist.d2)
     assert np.array_equal(_bits(back.row_marginals), _bits(row))  # as given, not normalized
     assert np.array_equal(_bits(back.col_marginals), _bits(col))
@@ -466,15 +497,18 @@ def test_product_distribution_round_trip_is_bit_identical(marginals):
     assert (back.mu, back.L) == (dist.mu, dist.L)
 
 
-def test_distribution_parse_errors():
+def test_distribution_parse_errors(tmp_path):
     with pytest.raises(ValidationError):
-        parse_distribution("2,2\ntriangular\n")
+        _load_text(tmp_path, load_distribution, "2,2\ntriangular\n")
     with pytest.raises(ValidationError):
-        parse_distribution("2,2\nproduct\n1,1\n")
+        _load_text(tmp_path, load_distribution, "2,2\nproduct\n1,1\n")
     for text, what in [("2,2\nproduct\n1,x\n1,1\n", "row marginal"),
                        ("2,2\nproduct\n1,1\n1,1 # note\n", "column marginal"),
                        ("2,2\nexplicit\n0.1,0.2\n0.3,abc\n", "explicit distribution"),
                        ("2,2\nexplicit\n0.1,0.2\n0.3,0.2,0.2\n", "explicit distribution"),
                        ("0,2\nexplicit\n", "explicit distribution")]:
         with pytest.raises(ValidationError, match=what):
-            parse_distribution(text)
+            _load_text(tmp_path, load_distribution, text)
+    # Blank and whitespace-only lines are skipped, and each line is stripped.
+    back = _load_text(tmp_path, load_distribution, "\n3,4\n product \n\n1,2,3\n \n1,1,2,4\n")
+    assert back.row_marginals.tolist() == [1, 2, 3] and back.col_marginals.tolist() == [1, 1, 2, 4]

@@ -8,11 +8,9 @@ from maxnorm_completion import (
     SolverConfig,
     ValidationError,
     default_factor_width,
-    empirical_loss_and_grad,
     fit_pgd,
-    linf_rescale,
-    project_factor_rows,
 )
+from maxnorm_completion.solver import empirical_loss_and_grad, linf_rescale, project_factor_rows
 
 
 def _random_instance(rng, d1=5, d2=4, k=2, n=12):

@@ -15,11 +15,10 @@ from maxnorm_completion import (
     ObservationSet,
     SolverConfig,
     core,
-    empirical_loss_and_grad,
     fit_pgd,
-    init_factors,
     solver,
 )
+from maxnorm_completion.solver import empirical_loss_and_grad, init_factors
 
 
 def _duplicate_heavy_instance(seed, d1, d2, n, pool):
