@@ -153,8 +153,9 @@ def save_rank_report(path, est: RankEstimate) -> None:
 def load_rank_report(path):
     """Returns (errors, r_star, completion).
 
-    The chosen-rank line is the first line without a comma, and the rank it
-    names must be one of the error rows'.
+    The chosen-rank line is the first line without a comma.  As
+    `estimate_rank` writes them, the error rows list each rank once, in
+    increasing order, and the chosen rank is the first with the least error.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = _nonblank_lines(fh)
@@ -169,7 +170,16 @@ def load_rank_report(path):
         errors = _parse_rows(iter(error_rows), "i8,f8", "rank report error row").tolist()
         r_star = int(_parse_rows(iter([chosen_line]), np.int64,
                                  "rank report chosen-rank line")[0, 0])
-        if r_star not in {r for r, _ in errors}:
+        ranks = [r for r, _ in errors]
+        if any(a >= b for a, b in zip(ranks, ranks[1:])):
+            raise ValidationError(f"rank report error rows must list each rank once, in "
+                                  f"increasing order, got ranks {ranks}")
+        if r_star not in ranks:
             raise ValidationError(f"rank report chosen-rank line names r = {r_star}, "
                                   f"which no error row lists")
+        # min keeps the first of equal errors, as estimate_rank's strict `<` does.
+        least = min(errors, key=lambda row: row[1])[0]
+        if r_star != least:
+            raise ValidationError(f"rank report chosen-rank line names r = {r_star}, "
+                                  f"but the first rank with the least error is r = {least}")
         return errors, r_star, _read_dense(lines)

@@ -194,8 +194,7 @@ class ObservationSet:
             )
         if not np.isfinite(vals).all():
             raise ValidationError("observation values contain non-finite entries")
-        if (idx[:, 0] < 0).any() or (idx[:, 0] >= self.d1).any() \
-                or (idx[:, 1] < 0).any() or (idx[:, 1] >= self.d2).any():
+        if _out_of_range(idx, self.d1, self.d2):
             raise ValidationError("observation indices out of range")
         idx = np.ascontiguousarray(idx)
         idx.flags.writeable = False
@@ -205,6 +204,15 @@ class ObservationSet:
     @property
     def n(self) -> int:
         return self.indices.shape[0]
+
+
+def _out_of_range(idx, d1: int, d2: int) -> bool:
+    """Whether a nonempty (n, 2) index array leaves the d1 x d2 grid.
+
+    One min over the whole array and one max per column: reductions, cheaper
+    than comparing every entry into boolean temporaries.
+    """
+    return bool(idx.min() < 0 or idx[:, 0].max() >= d1 or idx[:, 1].max() >= d2)
 
 
 def make_distribution(kind: str, d1: int, d2: int, *, row_marginals=None,
@@ -351,8 +359,7 @@ def observe(M0, indices, noise: NoiseModel, seed: int) -> ObservationSet:
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[1] != 2:
         raise ValidationError(f"indices must have shape (n, 2), got {idx.shape}")
-    if idx.size and ((idx < 0).any() or (idx[:, 0] >= A.shape[0]).any()
-                     or (idx[:, 1] >= A.shape[1]).any()):
+    if idx.size and _out_of_range(idx, *A.shape):
         raise ValidationError("observation indices out of range for M0")
     n = idx.shape[0]
     rng = _rng.stream_rng(seed, _rng.NOISE)
@@ -428,6 +435,8 @@ def load_distribution(path) -> SamplingDistribution:
         d1, d2 = _parse_rows(islice(lines, 1), "i8,i8", "distribution header")[0].tolist()
         kind = next(lines, None)
         if kind == "uniform":
+            if next(lines, None) is not None:
+                raise ValidationError("uniform distribution takes no line after its kind line")
             return make_distribution("uniform", d1, d2)
         if kind == "product":
             row = _parse_rows(islice(lines, 1), np.float64, "product row marginal")[0]

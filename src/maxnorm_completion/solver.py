@@ -10,11 +10,15 @@ ball.
 
 It first collapses the observations onto their m unique cells (draw count,
 mean value and within-cell sum of squares), which keeps the loss exact
-while every pass touches each observed cell once.  The collapse is one
-in-place sort of an int64 key packing (cell, draw), then one bincount over
-the sorted draws, so each cell's values are summed in draw order; it holds
-about three n-length arrays beyond the observations.  The cells are kept
-in row-major order, a row's cells contiguous.
+while every pass touches each observed cell once.  Draws are taken with
+replacement, so n may reach or pass d1 * d2.  Then the collapse counts: two
+bincounts over each draw's flat cell index give the cells' draw counts and
+sums, holding two n-length and two d1 d2-length arrays beyond the
+observations.  On a larger grid it is one in-place sort of an int64 key
+packing (cell, draw), then one bincount over each draw's cell number,
+holding about three n-length arrays.  Either way each cell's values are
+summed in draw order, so both give the same bits.  The cells are kept in
+row-major order, a row's cells contiguous.
 
 No d1 x d2 array is built while solving.  A PGD iteration evaluates the
 loss at each trial point, gathering every column of V at the cells once
@@ -153,15 +157,61 @@ def _dedupe_observations(obs: ObservationSet) -> _Cells:
     With r = prediction - mean at each cell, the empirical loss is exactly
     (sum counts * r^2 + ss_within) / n.
 
-    One sort orders the draws by cell, and within a cell by draw: an
-    in-place sort of the packed int64 key cell * n + draw, or, where
-    d1 * d2 * n would overflow it, a stable sort by (row, column).  A
-    cell's sum then adds its values in draw order, and ss_within sums the
-    deviations in draw order.
+    Every cell's sum adds its values in draw order, starting from 0.0, and
+    ss_within sums the deviations in draw order, whichever way the cells
+    are found:
+
+    - when the grid has at most n cells, by counting: one bincount of the
+      flat cell index row * d2 + col gives the counts, a second its sums.
+      The observed cells are the nonzero counts, already in row-major order.
+    - otherwise by sorting: an in-place sort of the packed int64 key
+      cell * n + draw, or, where d1 * d2 * n would overflow it, a stable
+      sort by (row, column).  A bincount over each draw's cell number then
+      sums the values in draw order.
     """
+    grid = int(obs.d1) * int(obs.d2)
+    # Overflows: the means' are reported here, ss_within's by fit_pgd.
+    with np.errstate(over="ignore"):
+        if grid <= obs.n:
+            cell_rows, cols, counts, means, ss_within = _count_cells(obs, grid)
+        else:
+            cell_rows, cols, counts, means, ss_within = _sort_cells(obs, grid)
+    row_starts = np.flatnonzero(np.diff(cell_rows, prepend=-1))
+    row_ids = cell_rows[row_starts]
+    return _Cells(cols=cols, row_ids=row_ids, row_starts=row_starts,
+                  row_counts=np.diff(row_starts, append=cols.size), counts=counts,
+                  means=means, ss_within=ss_within, n=obs.n, d2=obs.d2)
+
+
+def _count_cells(obs: ObservationSet, grid: int):
+    """_dedupe_observations' cells from bincounts over the d1 x d2 grid, for grid <= n.
+
+    It holds two n-length arrays (the flat cells and the deviations) and
+    two grid-length ones (the counts, and the sums that become the means).
+    """
+    key = obs.indices[:, 0] * obs.d2
+    key += obs.indices[:, 1]
+    counts = np.bincount(key, minlength=grid)
+    means = np.bincount(key, weights=obs.values, minlength=grid)
+    np.divide(means, counts, out=means, where=counts > 0)
+    _check_means(means)
+    ss_within = _within_cell_ss(obs.values, means, key)
+    del key
+    cols = np.flatnonzero(counts)
+    counts = counts[cols].astype(np.float64)
+    means = means[cols]
+    cell_rows = np.empty_like(cols)
+    np.divmod(cols, obs.d2, out=(cell_rows, cols))
+    return cell_rows, cols, counts, means, ss_within
+
+
+def _sort_cells(obs: ObservationSet, grid: int):
+    """_dedupe_observations' cells from one sort of the draws, for grid > n."""
     n = obs.n
     rows, cols = obs.indices.T
-    if int(obs.d1) * int(obs.d2) * n < 2 ** 63:
+    new = np.empty(n, dtype=bool)  # new[s]: the draw at sorted position s starts a cell
+    new[0] = True
+    if grid * n < 2 ** 63:
         key = rows * obs.d2
         key += cols
         key *= n
@@ -169,43 +219,54 @@ def _dedupe_observations(obs: ObservationSet) -> _Cells:
         key.sort()
         draws = np.empty(n, dtype=np.int64)
         np.divmod(key, n, out=(key, draws))  # key now holds the sorted cells
-        new = key[1:] != key[:-1]
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        cell_cols = key[starts]
+        cell_rows = np.empty_like(cell_cols)
+        np.divmod(cell_cols, obs.d2, out=(cell_rows, cell_cols))
+        ids = key  # reused: the sorted cells are read
         del key
     else:
         draws = np.lexsort((cols, rows))
         r, c = rows[draws], cols[draws]
-        new = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        np.not_equal(r[1:], r[:-1], out=new[1:])
+        new[1:] |= c[1:] != c[:-1]
         del r, c
+        starts = np.flatnonzero(new)
+        first = draws[starts]
+        cell_rows, cell_cols = rows[first], cols[first]
+        del first
+        ids = np.empty(n, dtype=np.int64)
     # ids[s]: the cell of the draw at sorted position s, numbered 0..m-1.
-    ids = np.empty(n, dtype=np.int64)
-    ids[0] = 0
-    np.cumsum(new, out=ids[1:])
-    starts = np.concatenate(([0], np.flatnonzero(new) + 1))
+    # Cast first: a cumsum of the bools into int64 would cast them into a temporary.
+    ids[:] = new
     del new
-    counts = np.diff(starts, append=n).astype(np.float64)
-    first = draws[starts]
-    # Overflows: the means' are reported here, ss_within's by fit_pgd.
-    with np.errstate(over="ignore"):
-        means = np.bincount(ids, weights=obs.values[draws])
-        means /= counts
-        if not np.isfinite(means).all():
-            raise ValidationError("the mean of an observed cell is not finite; "
-                                  "the observed values are too large in magnitude")
-        inverse = np.empty(n, dtype=np.int64)  # the cell of each draw, in draw order
-        inverse[draws] = ids
-        del ids, draws
-        dev = means[inverse]
-        del inverse
-        np.subtract(obs.values, dev, out=dev)
-        ss_within = _dot(dev, dev)
-        del dev
-    cell_rows = rows[first]
-    row_starts = np.flatnonzero(np.diff(cell_rows, prepend=-1))
-    row_ids = cell_rows[row_starts]
-    del cell_rows
-    return _Cells(cols=cols[first], row_ids=row_ids, row_starts=row_starts,
-                  row_counts=np.diff(row_starts, append=first.size), counts=counts,
-                  means=means, ss_within=ss_within, n=n, d2=obs.d2)
+    ids[0] = 0
+    np.cumsum(ids, out=ids)
+    counts = np.empty(starts.size)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = n - starts[-1]
+    del starts
+    inverse = np.empty(n, dtype=np.int64)  # the cell of each draw, in draw order
+    inverse[draws] = ids
+    del ids, draws
+    means = np.bincount(inverse, weights=obs.values)
+    means /= counts
+    _check_means(means)
+    return cell_rows, cell_cols, counts, means, _within_cell_ss(obs.values, means, inverse)
+
+
+def _check_means(means):
+    if not np.isfinite(means).all():
+        raise ValidationError("the mean of an observed cell is not finite; "
+                              "the observed values are too large in magnitude")
+
+
+def _within_cell_ss(values, means, cell):
+    """sum_t (values[t] - means[cell[t]])^2, reduced in draw order."""
+    dev = means[cell]
+    np.subtract(values, dev, out=dev)
+    return _dot(dev, dev)
 
 
 def _cell_loss(cells: _Cells, U, V):

@@ -309,6 +309,10 @@ def test_parse_rank_report_rejects_missing_rank_line(tmp_path):
                        ("2\n" + dense, "rank report error"),  # no error rows
                        ("2,0.5\nx\n" + dense, "chosen-rank"),
                        ("2,0.5\n3,0.4\n7\n" + dense, "chosen-rank"),  # a rank no row lists
+                       ("2,0.5\n2,0.4\n2\n" + dense, "increasing order"),  # a rank repeats
+                       ("3,0.5\n2,0.4\n2\n" + dense, "increasing order"),  # out of order
+                       ("2,0.5\n3,0.4\n2\n" + dense, "least error is r = 3"),  # not the least
+                       ("2,0.4\n3,0.4\n3\n" + dense, "least error is r = 2"),  # not the first
                        ("2,0.5\n2\n1,1\n5,6\n", "dense matrix")]:
         with pytest.raises(ValidationError, match=what):
             _load_report_text(tmp_path, text)
@@ -324,7 +328,8 @@ def _rank_estimates(draw):
     errors = draw(st.lists(_ANY_FINITE, min_size=1, max_size=6))
     d1, d2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     chosen = np.array(draw(st.lists(_ANY_FINITE, min_size=d1 * d2, max_size=d1 * d2)))
-    return RankEstimate(r_star=draw(st.integers(2, len(errors) + 1)),
+    # As estimate_rank picks it: the first rank with the least error.
+    return RankEstimate(r_star=2 + errors.index(min(errors)),
                         errors=tuple(enumerate(errors, start=2)),
                         chosen=chosen.reshape(d1, d2))
 

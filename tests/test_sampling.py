@@ -363,6 +363,15 @@ def test_observe_reproducible():
 def test_observe_index_out_of_range():
     with pytest.raises(ValidationError):
         observe(np.ones((2, 2)), np.array([[0, 2]]), NoiseModel(kind="none"), seed=0)
+    # Each bound of each column, on a 2 x 3 grid, behind an in-range draw.
+    for bad in ([-1, 0], [0, -1], [2, 0], [0, 3]):
+        idx = np.array([[1, 2], bad])
+        with pytest.raises(ValidationError, match="^observation indices out of range for M0$"):
+            observe(np.ones((2, 3)), idx, NoiseModel(kind="none"), seed=0)
+        with pytest.raises(ValidationError, match="^observation indices out of range$"):
+            ObservationSet(d1=2, d2=3, indices=idx, values=np.zeros(2))
+    with pytest.raises(ValidationError, match="must have shape"):  # no draws: no min to take
+        observe(np.ones((2, 3)), np.empty((0, 2), dtype=np.int64), NoiseModel(kind="none"), 0)
 
 
 def test_noise_model_validation():
@@ -502,6 +511,9 @@ def test_distribution_parse_errors(tmp_path):
         _load_text(tmp_path, load_distribution, "2,2\ntriangular\n")
     with pytest.raises(ValidationError):
         _load_text(tmp_path, load_distribution, "2,2\nproduct\n1,1\n")
+    for tail in ("1,2,3\n1,1,2,4\n", "uniform\n"):  # a uniform file ends at its kind line
+        with pytest.raises(ValidationError, match="no line after its kind line"):
+            _load_text(tmp_path, load_distribution, "3,4\nuniform\n" + tail)
     for text, what in [("2,2\nproduct\n1,x\n1,1\n", "row marginal"),
                        ("2,2\nproduct\n1,1\n1,1 # note\n", "column marginal"),
                        ("2,2\nexplicit\n0.1,0.2\n0.3,abc\n", "explicit distribution"),

@@ -194,12 +194,26 @@ _ORDER_MATTERS = ObservationSet(  # (1e16 + 1) - 1e16 is 0; (1e16 - 1e16) + 1 is
     values=np.array([1e16, 0.5, 1.0, -1e16, 3.0, -2.0]))
 
 
+# The same draws on either side of the switch from sorting to counting:
+# the grid has n + 1 cells (sorted) or n (counted).  As in _ORDER_MATTERS,
+# cell (1, 2) sums to 0 in draw order and to 1 in another.
+_BELOW_THE_SWITCH, _AT_THE_SWITCH = (ObservationSet(
+    d1=2, d2=3, indices=np.array([[1, 2], [0, 0], [1, 2], [1, 2], [0, 1], [1, 0]][:n]),
+    values=np.array([1e16, 0.5, 1.0, -1e16, 3.0, -2.0][:n])) for n in (5, 6))
+
+
 @settings(max_examples=200, deadline=None)
 @given(obs=_repeated_draws())
 @example(obs=_ORDER_MATTERS)
+@example(obs=_BELOW_THE_SWITCH)
+@example(obs=_AT_THE_SWITCH)
 def test_dedupe_equals_draw_order_reference_bit_for_bit(obs):
     cells_ref, counts_ref, means_ref, ss_ref = _draw_order_reference(obs)
-    cells = solver._dedupe_observations(obs)
+    with patch.object(solver, "_count_cells", wraps=solver._count_cells) as counted, \
+            patch.object(solver, "_sort_cells", wraps=solver._sort_cells) as sorted_:
+        cells = solver._dedupe_observations(obs)
+    assert counted.call_count == (obs.d1 * obs.d2 <= obs.n)
+    assert sorted_.call_count == (obs.d1 * obs.d2 > obs.n)
     rows = np.repeat(cells.row_ids, cells.row_counts)
     assert list(zip(rows.tolist(), cells.cols.tolist())) == cells_ref
     assert cells.counts.tolist() == counts_ref
@@ -224,6 +238,24 @@ def test_dedupe_on_a_grid_too_large_for_the_packed_key():
     assert cells.means.tolist() == [9.0, 8.0, 2.5]
     assert cells.row_starts.tolist() == [0, 1] and cells.row_counts.tolist() == [1, 2]
     assert cells.ss_within == 49.0 + 49.0 + 2.25 + 2.25
+
+
+def test_counted_dedupe_holds_no_more_than_its_input():
+    # n = 4 d1 d2: sorting these draws holds about 1.33x the input's bytes;
+    # counting holds two n-length arrays and two grid-length ones, about 0.83x.
+    d1, d2 = 200, 150
+    n = 4 * d1 * d2
+    rng = np.random.default_rng(1)
+    obs = ObservationSet(d1=d1, d2=d2, values=rng.normal(size=n),
+                         indices=np.column_stack([rng.integers(0, d1, n), rng.integers(0, d2, n)]))
+    tracemalloc.start()
+    try:
+        cells = solver._dedupe_observations(obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cells.counts.sum() == n
+    assert peak <= 1.2 * (obs.indices.nbytes + obs.values.nbytes)
 
 
 def _dyadic(rng, shape):
