@@ -13,8 +13,11 @@ A uniform index draw takes the row, then the column, from
 explicit draw is inverse-CDF on the flattened distribution and equals
 numpy's `Generator.choice` with `p` draw for draw.  It never holds the
 d1 x d2 CDF: it walks the grid in row blocks of at most CDF_BLOCK_CELLS
-cells, twice, carrying the running sum from block to block, so it holds
-O(n + one block) memory whatever the grid (see `sample_indices`).
+cells, twice, carrying the running sum from block to block, and locates
+each uniform in its block's CDF through a guide table (Chen & Asau 1974),
+so it sorts nothing and holds O(n + one block) memory whatever the grid
+(see `sample_indices`).  `observe` sums each chunk of gathered truth
+values into the noise array, which becomes the observation values.
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +38,14 @@ NOISE_KINDS = ("gaussian", "laplace", "none")
 # Cells per row block of the flattened distribution that `sample_indices`
 # holds at a time: 2 MB of float64.  A row longer than this is one block.
 CDF_BLOCK_CELLS = 1 << 18
+
+# Draws per chunk of the guide-table search in `sample_indices`, so that a
+# chunk's temporaries stay in cache.
+DRAW_CHUNK = 1 << 13
+
+# Vectorized scan steps per chunk before the draws left in crowded guide
+# buckets are binary-searched.
+GUIDE_ROUNDS = 2
 
 # Observation lines formatted per string when writing: about 120 kB of text.
 TEXT_BLOCK_ROWS = 1 << 12
@@ -69,6 +80,7 @@ class SamplingDistribution:
     cell_probs: np.ndarray | None = None
     row_probs: np.ndarray | None = field(default=None, init=False, repr=False)
     col_probs: np.ndarray | None = field(default=None, init=False, repr=False)
+    _product_min: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.d1 < 1 or self.d2 < 1:
@@ -81,12 +93,18 @@ class SamplingDistribution:
                 verb = "requires" if wanted else "takes no"
                 raise ValidationError(f"{self.kind} distribution {verb} {name}")
         if self.kind == "product":
-            row = _checked_marginal(self.row_marginals, self.d1, "row_marginals")
-            col = _checked_marginal(self.col_marginals, self.d2, "col_marginals")
+            row, row_min, row_total = _checked_marginal(self.row_marginals, self.d1,
+                                                        "row_marginals")
+            col, col_min, col_total = _checked_marginal(self.col_marginals, self.d2,
+                                                        "col_marginals")
             object.__setattr__(self, "row_marginals", row)
             object.__setattr__(self, "col_marginals", col)
-            object.__setattr__(self, "row_probs", _frozen(row / row.sum()))
-            object.__setattr__(self, "col_probs", _frozen(col / col.sum()))
+            object.__setattr__(self, "row_probs", _frozen(row / row_total))
+            object.__setattr__(self, "col_probs", _frozen(col / col_total))
+            # min(v) / total is min(v / total) bit for bit: dividing by a
+            # positive number is monotone.
+            object.__setattr__(self, "_product_min",
+                               float((row_min / row_total) * (col_min / col_total)))
         elif self.kind == "explicit":
             probs = check_matrix(self.cell_probs, "probs")
             if probs.shape != (self.d1, self.d2):
@@ -123,30 +141,36 @@ class SamplingDistribution:
             out[...] = self.cell_probs[r0:r1]
         return out
 
-    def _min_max(self) -> tuple:
-        """The smallest and largest cell probability, as floats.
+    # Rounding a product of nonnegative floats is monotone, so for a product
+    # distribution the smallest and largest cell probabilities below equal
+    # the dense min and max bit for bit.
 
-        Rounding a product of nonnegative floats is monotone, so for a
-        product distribution these equal the dense min and max bit for bit.
-        """
+    def _min_cell(self) -> float:
+        """The smallest cell probability, as a float."""
         if self.kind == "uniform":
-            p = 1.0 / (self.d1 * self.d2)
-            return p, p
+            return 1.0 / (self.d1 * self.d2)
         if self.kind == "product":
-            return (float(self.row_probs.min() * self.col_probs.min()),
-                    float(self.row_probs.max() * self.col_probs.max()))
-        return float(self.cell_probs.min()), float(self.cell_probs.max())
+            return self._product_min
+        return float(self.cell_probs.min())
+
+    def _max_cell(self) -> float:
+        """The largest cell probability, as a float."""
+        if self.kind == "uniform":
+            return 1.0 / (self.d1 * self.d2)
+        if self.kind == "product":
+            return float(self.row_probs.max() * self.col_probs.max())
+        return float(self.cell_probs.max())
 
     @property
     def mu(self) -> float:
-        pmin = self._min_max()[0]
+        pmin = self._min_cell()
         if pmin <= 0.0:
             return float("inf")
         return 1.0 / (self.d1 * self.d2 * pmin)
 
     @property
     def L(self) -> float:
-        return self.d1 * self.d2 * self._min_max()[1]
+        return self.d1 * self.d2 * self._max_cell()
 
 
 # The fields each kind of distribution is built from.
@@ -173,9 +197,9 @@ class ObservationSet:
     """n index/value pairs from the observation model, with the grid shape.
 
     `indices` keeps the caller's array when it is already a C-contiguous
-    (n, 2) int64 array, and makes that array read-only; `values` is always
-    copied.  Copying `indices` as well would add 16 bytes per draw to every
-    `observe`.
+    (n, 2) int64 array, and makes that array read-only; `values` is
+    copied, except the fresh array that `observe` hands over.  Copying
+    `indices` as well would add 16 bytes per draw to every `observe`.
     """
 
     d1: int
@@ -196,10 +220,26 @@ class ObservationSet:
             raise ValidationError("observation values contain non-finite entries")
         if _out_of_range(idx, self.d1, self.d2):
             raise ValidationError("observation indices out of range")
+        self._hold(idx, _frozen(vals))
+
+    @classmethod
+    def _checked(cls, d1: int, d2: int, idx: np.ndarray, vals: np.ndarray):
+        """An ObservationSet of arrays its caller has checked as
+        `__post_init__` would, with no second pass over them; `vals`, a
+        float64 vector that no one else holds, is kept without a copy."""
+        obs = object.__new__(cls)
+        object.__setattr__(obs, "d1", d1)
+        object.__setattr__(obs, "d2", d2)
+        obs._hold(idx, vals)
+        return obs
+
+    def _hold(self, idx: np.ndarray, vals: np.ndarray) -> None:
+        """Keep idx, made C-contiguous, and vals, both made read-only."""
         idx = np.ascontiguousarray(idx)
         idx.flags.writeable = False
+        vals.flags.writeable = False
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", _frozen(vals))
+        object.__setattr__(self, "values", vals)
 
     @property
     def n(self) -> int:
@@ -242,7 +282,7 @@ def make_distribution(kind: str, d1: int, d2: int, *, row_marginals=None,
         probs = p / total
     dist = SamplingDistribution(d1=d1, d2=d2, kind=kind, row_marginals=row_marginals,
                                 col_marginals=col_marginals, cell_probs=probs)
-    if dist._min_max()[0] <= 0:
+    if dist._min_cell() <= 0:
         raise ValidationError(
             "distribution has a zero cell; every entry must be observable "
             "with positive probability"
@@ -250,18 +290,25 @@ def make_distribution(kind: str, d1: int, d2: int, *, row_marginals=None,
     return dist
 
 
-def _checked_marginal(m, length: int, name: str) -> np.ndarray:
-    """`m` as a read-only float64 vector, checked but not normalized."""
+def _checked_marginal(m, length: int, name: str) -> tuple:
+    """`m` as a read-only float64 vector, checked but not normalized, with its
+    min and its sum.
+
+    The min is NaN or negative when an entry is, and the sum is infinite
+    when an entry is +inf, so these two scans make every check.
+    """
     v = np.asarray(m, dtype=np.float64)
     if v.shape != (length,):
         raise ValidationError(f"{name} must have length {length}, got shape {v.shape}")
-    if not np.isfinite(v).all() or (v < 0).any():
-        raise ValidationError(f"{name} must be nonnegative and finite")
-    with np.errstate(over="ignore"):
+    v = _frozen(v)
+    lowest = v.min()
+    with np.errstate(over="ignore", invalid="ignore"):
         total = v.sum()
+    if not lowest >= 0 or (total == np.inf and np.isinf(v).any()):
+        raise ValidationError(f"{name} must be nonnegative and finite")
     if not 0 < total < np.inf:
         raise ValidationError(f"{name} must have a positive, finite total")
-    return _frozen(v)
+    return v, lowest, total
 
 
 def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
@@ -273,27 +320,38 @@ def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
     stream: O(n) time and memory, with no d1*d2 product formed.
 
     Product and explicit draws are inverse-CDF on the flattened
-    distribution: n uniforms are located in the normalized cumulative sum
-    of `probs.ravel()`.  (A product draw could search the row, then the
-    column marginal, but at d = 400 that measured slower than the walk.)
+    distribution: each uniform u becomes `cdf.searchsorted(u,
+    side="right")` in the normalized cumulative sum of `probs.ravel()`.
     It equals `Generator.choice(d1*d2, size=n, p=probs.ravel())` draw for
-    draw: the same uniforms, the same CDF values, the same search, no other
-    random numbers.  The CDF is never held whole.  The grid is walked in
-    row blocks of at most CDF_BLOCK_CELLS cells (one row if a row is
-    longer), each built into one reused buffer:
+    draw: the same uniforms from one `random(n)` call, the same CDF values,
+    the same answers, no other random numbers.  The CDF is never held
+    whole.  The grid is walked in row blocks of at most CDF_BLOCK_CELLS
+    cells (one row if a row is longer), each built into one reused buffer:
 
       pass 1 makes `Generator.choice`'s checks and takes the CDF block by
              block, adding the running sum into each block's first cell
              before an in-place cumsum, so every value is the float the
              full cumsum gives; it keeps the sum entering each block;
       pass 2 rebuilds each block's CDF the same way, divides it by the
-             last CDF value, and searches it for the uniforms that fall in
-             the block.
+             last CDF value, and locates the uniforms that fall in the
+             block.  A grid of several blocks first routes each uniform
+             to its block by the normalized block ends; a one-block grid
+             has nothing to route.
 
-    The uniforms are sorted for the search: a block's uniforms are then a
-    contiguous run, and ascending keys keep the binary search in cache.
-    Each result goes back to its draw's position.  Memory is O(n + one
-    block), not O(d1*d2).
+    The location goes through a guide table.  Take a monotone bucket map
+    g, here floor((u - start) * B / (stop - start)) over the block's range
+    [start, stop) of uniforms, with B a power of two at or above its cell
+    count; lo[b] counts the block's cells whose CDF value has a bucket
+    below b.  A CDF value in a lower bucket than u is below u, and one in
+    a higher bucket is above it, because g is monotone.  So a uniform in
+    bucket b lies past exactly lo[b] cells plus those from lo[b] on whose
+    CDF value is <= u, whatever the rounding of g.  A few vectorized
+    rounds compare CDF values with u and step on; the few draws left in a
+    bucket crowded by tiny or zero cells get a binary search of the block.
+    Draws go through in chunks of DRAW_CHUNK, written straight into the
+    (n, 2) output.  Memory is O(n + one block): the uniforms, the output,
+    one block's CDF and one table of B + 2 counts (and, with several
+    blocks, the draws' order by block), not O(d1*d2).
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -335,44 +393,125 @@ def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
     # ending block k - 1 is <= u < the one ending block k (side="right").
     rng = _rng.stream_rng(seed, _rng.SAMPLING)
     u = rng.random(n)
-    order = np.argsort(u)
-    u = u[order]
-    cdf_end = carries[-1]
-    ends = u.searchsorted(np.divide(carries[1:], cdf_end), side="left")
-    flat = np.empty(n, dtype=np.int64)
-    lo = 0
-    for k, hi in enumerate(ends.tolist()):
-        if hi > lo:
-            cdf = cumsum_from(carries[k], block(k))
-            cdf /= cdf_end
-            flat[order[lo:hi]] = cdf.searchsorted(u[lo:hi], side="right") + blocks[k][0] * d2
-        lo = hi
-    del u, order
+    bounds = np.divide(carries, carries[-1])  # block k's draws: bounds[k] <= u < bounds[k + 1]
+    if len(blocks) == 1:
+        order, starts = None, [0, n]
+    else:
+        owner = bounds[1:-1].searchsorted(u, side="right")
+        owner = owner.astype(np.min_scalar_type(len(blocks) - 1))
+        order = np.argsort(owner, kind="stable")  # a radix sort while blocks fit in 16 bits
+        starts = [0] + np.bincount(owner, minlength=len(blocks)).cumsum().tolist()
+        del owner
     out = np.empty((n, 2), dtype=np.int64)
-    np.divmod(flat, d2, out=(out[:, 0], out[:, 1]))
+    lo = np.empty((1 << (buf.size - 1).bit_length()) + 2, dtype=np.intp)  # one guide table
+    for k, (r0, _) in enumerate(blocks):
+        if starts[k + 1] == starts[k]:
+            continue
+        cdf = cumsum_from(carries[k], block(k))
+        cdf /= carries[-1]
+        scale = _guide_table(cdf, bounds[k], bounds[k + 1], lo)
+        for t in range(starts[k], starts[k + 1], DRAW_CHUNK):
+            stop = min(t + DRAW_CHUNK, starts[k + 1])
+            draws = slice(t, stop) if order is None else order[t:stop]
+            flat = _guide_search(cdf, lo, bounds[k], scale, u[draws])
+            flat += r0 * d2
+            out[draws, 0], out[draws, 1] = np.divmod(flat, d2)
     return out
 
 
+def _bucket(x, start: float, scale: float) -> np.ndarray:
+    """The guide bucket floor((x - start) * scale) of each x >= start, as
+    intp: monotone in x, since every rounding step is."""
+    y = x - start
+    y *= scale
+    return y.astype(np.intp)
+
+
+def _guide_table(cdf, start: float, stop: float, lo) -> float:
+    """Fill the guide table `lo`, of B + 2 entries, for one block's
+    normalized CDF, whose draws u satisfy start <= u < stop, and return the
+    bucket map's scale, B / (stop - start).
+
+    lo[b] becomes the count of cells j whose `_bucket(cdf[j], start, scale)`
+    is below b, for b = 0 .. B.  No bucket exceeds B, since no value
+    exceeds stop and (stop - start) * scale rounds to within an ulp of B.
+    B is a power of two at or above the block's cell count.
+    """
+    buckets = lo.size - 2
+    with np.errstate(over="ignore"):
+        scale = buckets / (stop - start)
+    if not np.isfinite(scale):
+        scale = 0.0  # a constant map is monotone too: every draw is searched
+    # The cells' buckets ascend with j, so each chunk counts its own range.
+    lo.fill(0)
+    for t in range(0, cdf.size, DRAW_CHUNK):
+        b = _bucket(cdf[t:t + DRAW_CHUNK], start, scale)
+        lo[b[0] + 1:b[-1] + 2] += np.bincount(b - b[0])
+    np.cumsum(lo, out=lo)
+    return scale
+
+
+def _guide_search(cdf, lo, start: float, scale: float, u) -> np.ndarray:
+    """cdf.searchsorted(u, side="right") through the guide table `lo`.
+
+    A draw in bucket b lies above every CDF value of a lower bucket and
+    below every one of a higher bucket, so its answer is lo[b] plus the
+    cells from lo[b] on whose value is <= u.  GUIDE_ROUNDS steps count
+    them.  The block's last value exceeds every u routed to it, so no scan
+    leaves the block.  Draws whose scan has not ended sit in a bucket
+    crowded with tiny or zero cells, and are binary-searched.
+    """
+    pos = lo.take(_bucket(u, start, scale))
+    for _ in range(GUIDE_ROUNDS):
+        pos += cdf.take(pos) <= u
+    rest = np.flatnonzero(cdf.take(pos) <= u)
+    if rest.size:
+        pos[rest] = cdf.searchsorted(u[rest], side="right")
+    return pos
+
+
 def observe(M0, indices, noise: NoiseModel, seed: int) -> ObservationSet:
-    """Observe M0 at `indices` under the noise model, fresh noise per draw."""
+    """Observe M0 at `indices` under the noise model, fresh noise per draw.
+
+    The values M0[i, j] + sigma * xi are summed into the noise array, a
+    chunk of DRAW_CHUNK draws at a time: one n-length float array, which
+    the returned set keeps without a copy.  The truth is gathered from its
+    raveled form at i * d2 + j, or as M0[i, j] when M0 is not C-contiguous,
+    so it is never copied whole.
+    """
     A = check_matrix(M0, "M0")
+    d1, d2 = A.shape
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 2 or idx.shape[1] != 2:
+    if idx.ndim != 2 or idx.shape[1] != 2 or idx.shape[0] == 0:
         raise ValidationError(f"indices must have shape (n, 2), got {idx.shape}")
-    if idx.size and _out_of_range(idx, *A.shape):
+    if _out_of_range(idx, d1, d2):
         raise ValidationError("observation indices out of range for M0")
     n = idx.shape[0]
     rng = _rng.stream_rng(seed, _rng.NOISE)
     if noise.kind == "gaussian":
-        xi = rng.standard_normal(n)
+        values = rng.standard_normal(n)
     elif noise.kind == "laplace":
-        xi = rng.laplace(loc=0.0, scale=LAPLACE_UNIT_SCALE, size=n)
+        values = rng.laplace(loc=0.0, scale=LAPLACE_UNIT_SCALE, size=n)
     else:
-        xi = np.zeros(n)
-    xi *= noise.sigma
-    values = A[idx[:, 0], idx[:, 1]]
-    values += xi
-    return ObservationSet(d1=A.shape[0], d2=A.shape[1], indices=idx, values=values)
+        values = np.zeros(n)
+    flat = A.reshape(-1) if A.flags.c_contiguous else None
+    with np.errstate(over="ignore"):
+        values *= noise.sigma
+        for t in range(0, n, DRAW_CHUNK):
+            rows, cols = idx[t:t + DRAW_CHUNK].T
+            if flat is None:
+                truth = A[rows, cols]
+            else:
+                cells = rows * d2
+                cells += cols
+                truth = flat.take(cells)
+            chunk = values[t:t + DRAW_CHUNK]
+            chunk += truth  # addition commutes: the bits of M0[i, j] + sigma * xi
+            if not np.isfinite(chunk).all():
+                raise ValidationError(
+                    f"noisy observation values overflowed: sigma = {noise.sigma!r} times the "
+                    "noise, plus the truth, is not a finite float64")
+    return ObservationSet._checked(d1, d2, idx, values)
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,67 @@ def test_sample_indices_holds_no_dense_cdf():
     assert idx.shape == (100_000, 2) and idx.dtype == np.int64
 
 
+class _CrowdedBucketGenerator(np.random.Generator):
+    """Uniforms in the first guide bucket of `_crowded_bucket` (u < 2**-14),
+    among and past its tiny cells, then two elsewhere."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.resize([0.0, 1e-12, 2e-9, 2.5e-9, 2.5e-9 + 1e-12, 1e-5, 6e-5, 0.5,
+                          np.nextafter(1.0, 0.0)], size)
+
+
+def _crowded_bucket():
+    """One heavy cell in the middle of 10**4: the others alternate 1e-12 and
+    0, so the 5000 cells below it share the first guide bucket, and a draw
+    there passes them all: its scan stops short and the binary search ends it."""
+    probs = np.zeros(10_000)
+    probs[::2] = 1e-12
+    probs[5_000] = 1.0
+    return _with_zero_cells("explicit", probs.reshape(100, 100))
+
+
+@pytest.mark.parametrize("crowded_draws", [False, True])
+def test_sample_indices_in_crowded_guide_bucket_equals_generator_choice(crowded_draws):
+    dist = _crowded_bucket()
+    stream_rng = ((lambda s, stream: _CrowdedBucketGenerator(np.random.PCG64(s)))
+                  if crowded_draws else _rng.stream_rng)
+    with patch.object(_rng, "stream_rng", stream_rng):
+        idx = sample_indices(dist, 200_000, seed=4)
+        assert np.array_equal(idx, _choice_draws(dist, 200_000, seed=4))
+    if crowded_draws:  # past the tiny cells: the heavy cell, found by the search
+        assert idx[5:7].tolist() == [[50, 0], [50, 0]]
+    else:  # the seeded uniforms reach the first bucket too
+        assert (_rng.stream_rng(4, _rng.SAMPLING).random(200_000) < 2.0 ** -14).any()
+
+
+@settings(deadline=None, max_examples=100)
+@given(dist=_distributions(), seed=st.integers(0, 2**63 - 1), chunk=st.integers(1, 8),
+       block_cells=st.sampled_from([None, 1, 5]))
+def test_sample_indices_over_several_chunks_equals_generator_choice(dist, seed, chunk,
+                                                                    block_cells):
+    n = 3 * chunk + 1
+    with patch.object(sampling, "DRAW_CHUNK", chunk), \
+            patch.object(sampling, "CDF_BLOCK_CELLS", block_cells or sampling.CDF_BLOCK_CELLS):
+        assert np.array_equal(sample_indices(dist, n, seed), _choice_draws(dist, n, seed))
+
+
+def test_sample_indices_bench_size_memory():
+    # The bench's largest draw: a 400 x 400 product with row marginals
+    # 1/i^0.7 and n = 4 * d1 * d2.  The output and the uniforms alone take
+    # 14.65 MiB; sorting the uniforms took 20.75 MiB.
+    d = 400
+    dist = make_distribution("product", d, d, row_marginals=1.0 / np.arange(1, d + 1) ** 0.7,
+                             col_marginals=np.ones(d))
+    tracemalloc.start()
+    try:
+        idx = sample_indices(dist, 4 * d * d, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idx.shape == (4 * d * d, 2)
+    assert peak <= 20.75 * (1 << 20)
+
+
 @pytest.mark.parametrize("bad", [np.nan, -0.25, 0.5])
 def test_sample_indices_rechecks_probabilities(bad):
     dist = make_distribution("explicit", 2, 2, probs=np.ones((2, 2)))
@@ -372,6 +433,37 @@ def test_observe_index_out_of_range():
             ObservationSet(d1=2, d2=3, indices=idx, values=np.zeros(2))
     with pytest.raises(ValidationError, match="must have shape"):  # no draws: no min to take
         observe(np.ones((2, 3)), np.empty((0, 2), dtype=np.int64), NoiseModel(kind="none"), 0)
+
+
+def test_observe_overflow_is_a_validation_error():
+    # Seed 1's first noise draw is 2.49: sigma * xi overflows at sigma =
+    # 1e308, and at 1e307 the truth plus the noise does.  No overflow
+    # warning escapes first.
+    idx = np.zeros((8, 2), dtype=np.int64)
+    for M0, sigma in [(np.ones((2, 2)), 1e308), (np.full((2, 2), 1.7e308), 1e307)]:
+        with pytest.raises(ValidationError, match="noisy observation values overflowed"):
+            observe(M0, idx, NoiseModel(kind="gaussian", sigma=sigma), seed=1)
+
+
+def test_observe_holds_one_float_array_and_gathers_any_layout():
+    n = 1 << 17
+    M0 = np.arange(300 * 200, dtype=np.float64).reshape(300, 200) / 7.0
+    idx = sample_indices(make_distribution("uniform", 300, 200), n, seed=5)
+    noise = NoiseModel(kind="gaussian", sigma=0.5)
+    tracemalloc.start()
+    try:
+        obs = observe(M0, idx, noise, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * obs.values.nbytes  # the noise, summed in place, is the values
+    xi = _rng.stream_rng(5, _rng.NOISE).standard_normal(n)
+    expected = M0[idx[:, 0], idx[:, 1]] + 0.5 * xi
+    assert np.array_equal(obs.values.view(np.int64), expected.view(np.int64))
+    for layout in (np.asfortranarray(M0), np.repeat(M0, 2, axis=1)[:, ::2]):
+        again = observe(layout, idx, noise, seed=5)
+        assert np.array_equal(again.values.view(np.int64), obs.values.view(np.int64))
+    assert not obs.values.flags.writeable and not obs.indices.flags.writeable
 
 
 def test_noise_model_validation():
