@@ -38,11 +38,18 @@ def _dot(a, b) -> float:
 
 
 def check_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Validate a dense real matrix: 2-D, nonempty, all entries finite."""
+    """Validate a dense real matrix: 2-D, nonempty, all entries finite.
+
+    A NaN or infinite entry makes the sum non-finite, and so does an
+    overflowing sum of finite entries; only then is every entry tested, to
+    tell the two apart.  The sum builds no temporary of A's size.
+    """
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.size == 0:
         raise ValidationError(f"{name} must be a nonempty 2-D array, got shape {A.shape}")
-    if not np.isfinite(A).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite_sum = np.isfinite(A.sum())
+    if not (finite_sum or np.isfinite(A).all()):
         raise ValidationError(f"{name} contains non-finite entries")
     return A
 

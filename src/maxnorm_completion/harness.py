@@ -18,8 +18,7 @@ from itertools import chain
 import numpy as np
 
 from . import _rng
-from .core import (ConstraintSet, Factorization, ValidationError, _nonblank_lines, _parse_rows,
-                   check_matrix)
+from .core import ConstraintSet, Factorization, ValidationError, _nonblank_lines, _parse_rows
 from .sampling import (CDF_BLOCK_CELLS, NOISE_KINDS, NoiseModel, SamplingDistribution,
                        make_distribution, observe, sample_indices)
 from .solver import DEFAULT_MAX_ITERS, DEFAULT_TAU, DEFAULT_TOL, SolverConfig, fit_pgd
@@ -117,10 +116,13 @@ def make_ground_truth(d1: int, d2: int, rank: int, alpha: float, seed: int) -> n
 
 def run_trial(M0, distribution, noise, constraints, solver_cfg, n, seed,
               clock=None) -> TrialRecord:
-    """One seeded sample/observe/fit cycle against a known ground truth."""
+    """One seeded sample/observe/fit cycle against a known ground truth.
+
+    M0's entries are checked by `observe`: one scan of the truth per trial.
+    """
     if clock is None:
         clock = time.perf_counter
-    M0 = check_matrix(M0, "M0")
+    M0 = np.asarray(M0, dtype=np.float64)
     if (distribution.d1, distribution.d2) != M0.shape:
         raise ValidationError(f"distribution shape {(distribution.d1, distribution.d2)} "
                               f"does not match M0 shape {M0.shape}")

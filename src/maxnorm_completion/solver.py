@@ -8,33 +8,37 @@ simultaneous gradient step on both factors, then a global rescale restoring
 the elementwise bound, then row-wise Euclidean projection onto the radius
 ball.
 
-It first collapses the observations onto their m unique cells (draw count,
-mean value and within-cell sum of squares), which keeps the loss exact
-while every pass touches each observed cell once.  Draws are taken with
-replacement, so n may reach or pass d1 * d2.  Then the collapse counts: two
-bincounts over each draw's flat cell index give the cells' draw counts and
-sums, holding two n-length and two d1 d2-length arrays beyond the
-observations.  On a larger grid it is one in-place sort of an int64 key
-packing (cell, draw), then one bincount over each draw's cell number,
-holding about three n-length arrays.  Either way each cell's values are
-summed in draw order, so both give the same bits.  The cells are kept in
-row-major order, a row's cells contiguous.
+The loss is exact on the draws' cells: with each cell's draw count, mean
+value and the within-cell sum of squares ss_within, it is
+(sum counts * (prediction - mean)^2 + ss_within) / n.  Draws are taken with
+replacement, so n may reach or pass d1 * d2, and fit_pgd picks one of two
+layouts by that test alone:
 
-No d1 x d2 array is built while solving.  A PGD iteration evaluates the
-loss at each trial point, gathering every column of V at the cells once
-into a k x m array; U's value at the cells is np.repeat of its observed
-rows, not a gather.  The accepted trial's gathered columns, scaled in
-place by the gradient weights, give G @ V as per-row segment sums, and
-the repeated columns of U, binned by cell column, give G.T @ U.  Only that
-one k x m set is held: a rejected trial's set is dropped before the next
-trial.  The elementwise max of U @ V.T is taken exactly by scanning the
-rows of U in decreasing norm and stopping once the Cauchy-Schwarz bound
+- d1 * d2 > n, the cells: the observations collapse onto their m unique
+  cells, kept in row-major order with a row's cells contiguous (see
+  _dedupe_observations).  A PGD iteration evaluates the loss at each trial
+  point, gathering every column of V at the cells once into a k x m array;
+  U's value at the cells is np.repeat of its observed rows, not a gather.
+  The accepted trial's gathered columns, scaled in place by the gradient
+  weights, give G @ V as per-row segment sums, and the repeated columns of
+  U, binned by cell column, give G.T @ U.  Only that one k x m set is held:
+  a rejected trial's set is dropped before the next trial.  An iteration's
+  time and memory are O((m + d1 + d2) k), and no d1 x d2 array is built.
+- d1 * d2 <= n, the grid: the draw counts and the cell means (0 where no
+  draw fell) stay d1 x d2 arrays, and every trial fills two more allocated
+  once per fit, P = U @ V.T - means and G = counts * P.  The gradient
+  products are G @ V and G.T @ U.  All three products are einsum calls,
+  which sum in a fixed order, so the bits do not depend on the BLAS thread
+  count.  An iteration takes O(d1 d2 k) time and holds those four d1 x d2
+  arrays, 32 d1 d2 bytes: at most 4/3 of the draws' own 24 n bytes.
+
+The elementwise max of U @ V.T is taken exactly by scanning the rows of U
+in decreasing norm and stopping once the Cauchy-Schwarz bound
 |u_i . v_j| <= |u_i| max_j |v_j| of the next row cannot beat the running
 max.  Usually a small share of the rows is scanned; in the worst case
-(every row of U at the same norm, as when all sit on the radius) it covers all
-d1 rows, d1 d2 k flops plus an O(d1 log d1) sort.  Otherwise an iteration's
-time and memory are O((m + d1 + d2) k); the max holds at most one block of
-LINF_BLOCK_CELLS cells.
+(every row of U at the same norm, as when all sit on the radius) it covers
+all d1 rows, d1 d2 k flops plus an O(d1 log d1) sort.  The max holds at
+most one block of LINF_BLOCK_CELLS cells.
 SolveResult stores no d1 x d2 array: each read of `completed` builds a
 fresh dense product, which lives as long as the caller keeps it.
 
@@ -117,8 +121,8 @@ def empirical_loss_and_grad(F: Factorization, obs: ObservationSet):
     loss = (1/n) sum_t (y_t - (U V^T)_{i_t j_t})^2.  The gradient is a dense
     d1 x d2 array, nonzero only at observed cells; repeated draws of a cell
     accumulate with multiplicity.  This is the dense reference: the solver
-    computes the same loss and gradient products cell by cell and never builds
-    this array.
+    computes the same loss and gradient products from the collapsed draws and
+    never builds this array.
     """
     if (F.d1, F.d2) != (obs.d1, obs.d2):
         raise ValidationError(
@@ -155,19 +159,22 @@ def _dedupe_observations(obs: ObservationSet) -> _Cells:
     """Unique observed cells with their draw counts and mean values.
 
     With r = prediction - mean at each cell, the empirical loss is exactly
-    (sum counts * r^2 + ss_within) / n.
+    (sum counts * r^2 + ss_within) / n.  fit_pgd runs on these cells when
+    d1 * d2 > n; PartialMatrix.from_observations takes them for any n.
 
     Every cell's sum adds its values in draw order, starting from 0.0, and
     ss_within sums the deviations in draw order, whichever way the cells
     are found:
 
-    - when the grid has at most n cells, by counting: one bincount of the
-      flat cell index row * d2 + col gives the counts, a second its sums.
-      The observed cells are the nonzero counts, already in row-major order.
+    - when the grid has at most n cells, by counting: _grid_arrays' two
+      bincounts of the flat cell index row * d2 + col give every cell's
+      count and mean, the arrays fit_pgd keeps in that regime.  The
+      observed cells are the nonzero counts, already in row-major order.
+      It holds two n-length and two grid-length arrays.
     - otherwise by sorting: an in-place sort of the packed int64 key
       cell * n + draw, or, where d1 * d2 * n would overflow it, a stable
       sort by (row, column).  A bincount over each draw's cell number then
-      sums the values in draw order.
+      sums the values in draw order.  It holds about three n-length arrays.
     """
     grid = int(obs.d1) * int(obs.d2)
     # Overflows: the means' are reported here, ss_within's by fit_pgd.
@@ -184,10 +191,23 @@ def _dedupe_observations(obs: ObservationSet) -> _Cells:
 
 
 def _count_cells(obs: ObservationSet, grid: int):
-    """_dedupe_observations' cells from bincounts over the d1 x d2 grid, for grid <= n.
+    """_dedupe_observations' cells from _grid_arrays, compacted to the observed cells."""
+    counts, means, ss_within = _grid_arrays(obs, grid)
+    cols = np.flatnonzero(counts)
+    counts = counts[cols].astype(np.float64)
+    means = means[cols]
+    cell_rows = np.empty_like(cols)
+    np.divmod(cols, obs.d2, out=(cell_rows, cols))
+    return cell_rows, cols, counts, means, ss_within
 
-    It holds two n-length arrays (the flat cells and the deviations) and
-    two grid-length ones (the counts, and the sums that become the means).
+
+def _grid_arrays(obs: ObservationSet, grid: int):
+    """Every cell's draw count (int64) and mean value (0 where no draw fell),
+    as two flat grid-length arrays in row-major order, and ss_within.
+
+    Two bincounts over each draw's flat cell index row * d2 + col give the
+    counts and the sums.  It holds two n-length arrays (the flat cells and
+    the deviations) beyond the two grid-length ones it returns.
     """
     key = obs.indices[:, 0] * obs.d2
     key += obs.indices[:, 1]
@@ -195,14 +215,7 @@ def _count_cells(obs: ObservationSet, grid: int):
     means = np.bincount(key, weights=obs.values, minlength=grid)
     np.divide(means, counts, out=means, where=counts > 0)
     _check_means(means)
-    ss_within = _within_cell_ss(obs.values, means, key)
-    del key
-    cols = np.flatnonzero(counts)
-    counts = counts[cols].astype(np.float64)
-    means = means[cols]
-    cell_rows = np.empty_like(cols)
-    np.divmod(cols, obs.d2, out=(cell_rows, cols))
-    return cell_rows, cols, counts, means, ss_within
+    return counts, means, _within_cell_ss(obs.values, means, key)
 
 
 def _sort_cells(obs: ObservationSet, grid: int):
@@ -312,6 +325,55 @@ def _repeat_times(u, cells: _Cells, x):
     p = np.repeat(u, cells.row_counts)
     p *= x
     return p
+
+
+class _Grid(NamedTuple):
+    """The draws on the whole d1 x d2 grid, with the two buffers a trial fills."""
+
+    counts: np.ndarray  # float64 d1 x d2: draws of each cell
+    means: np.ndarray  # float64 d1 x d2: mean observed value of each cell, 0 where no draw fell
+    ss_within: float  # sum over all draws of (y_t - mean of its cell)^2
+    n: int  # total draws
+    P: np.ndarray  # d1 x d2 buffer: the trial's U @ V.T - means
+    G: np.ndarray  # d1 x d2 buffer: counts * P
+
+
+def _on_grid(obs: ObservationSet) -> _Grid:
+    """The draws as d1 x d2 arrays, for d1 * d2 <= n: _grid_arrays, unflattened."""
+    shape = (obs.d1, obs.d2)
+    counts, means, ss_within = _grid_arrays(obs, obs.d1 * obs.d2)
+    return _Grid(counts=counts.astype(np.float64).reshape(shape), means=means.reshape(shape),
+                 ss_within=ss_within, n=obs.n, P=np.empty(shape), G=np.empty(shape))
+
+
+# The grid kernels call einsum without `optimize`: `@`, np.dot and an
+# optimized einsum go to BLAS, whose rounding depends on its thread count.
+# einsum reads the factors transposed, k x d, contiguous: with strided
+# factors it runs about 3x slower.
+
+def _grid_loss(grid: _Grid, U, V):
+    """Empirical loss at (U, V), G = counts * (U @ V.T - means) and V.T.
+
+    The grid's twin of _cell_loss, with G in place of the weights (the
+    gradient is (2/n) G) and V.T, contiguous, in place of V's gathered
+    columns.  P and G are the grid's buffers, overwritten by every call.
+    """
+    Vt = np.ascontiguousarray(V.T)
+    P = np.einsum("ki,kj->ij", np.ascontiguousarray(U.T), Vt, out=grid.P)
+    P -= grid.means
+    G = np.multiply(grid.counts, P, out=grid.G)
+    loss = (_dot(G.ravel(), P.ravel()) + grid.ss_within) / grid.n
+    return loss, G, Vt
+
+
+def _grid_grad_products(grid: _Grid, G, U, Vt):
+    """G @ V and G.T @ U for the gradient (2/n) G, from _grid_loss's G and V.T."""
+    scale = 2.0 / grid.n
+    GV = np.einsum("ij,kj->ki", G, Vt).T
+    GV *= scale
+    GtU = np.einsum("ij,ki->kj", G, np.ascontiguousarray(U.T)).T
+    GtU *= scale
+    return GV, GtU
 
 
 def project_factor_rows(U, radius: float) -> np.ndarray:
@@ -428,7 +490,12 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
     factors.  The step is halved (at most MAX_HALVINGS times) whenever the
     objective would increase or turn non-finite; if no step helps, the
     iterate is kept and the solve stops.  The accepted trial's gradient
-    weights and gathered columns of V give the next gradient products.
+    weights and its columns of V give the next gradient products.
+
+    The kernels are chosen once, by the draws' layout (see the module
+    docstring).  With m observed cells, an iteration takes
+    O((m + d1 + d2) k) time and holds one k x m set when d1 * d2 > n, and
+    O(d1 d2 k) time and four d1 x d2 arrays when d1 * d2 <= n.
 
     Raises ValidationError when the loss at the start is not finite, as when
     the observed values are so large that their squares overflow.
@@ -436,18 +503,22 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
     if cfg.k > obs.d1 + obs.d2:
         raise ValidationError(f"k={cfg.k} exceeds d1 + d2 = {obs.d1 + obs.d2}")
     alpha, radius = constraints.alpha, constraints.radius
-    cells = _dedupe_observations(obs)
     F0 = init_factors(obs.d1, obs.d2, cfg.k, constraints, cfg.seed)
     U, V = F0.U, F0.V
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, w, Vc = _cell_loss(cells, U, V)
+        if int(obs.d1) * int(obs.d2) <= obs.n:
+            draws, loss_at, grad_products = _on_grid(obs), _grid_loss, _grid_grad_products
+        else:
+            draws, loss_at, grad_products = (_dedupe_observations(obs), _cell_loss,
+                                             _cell_grad_products)
+        loss, w, Vc = loss_at(draws, U, V)
         if not np.isfinite(loss):
             raise ValidationError("the empirical loss at the start is not finite; "
                                   "the observed values are too large in magnitude")
         trace = [loss]
         for it in range(1, cfg.max_iters + 1):
-            GV, GtU = _cell_grad_products(cells, w, U, Vc)
+            GV, GtU = grad_products(draws, w, U, Vc)
             # Dropped before each trial, so one set of gathered columns is alive.
             del w, Vc
             tau = cfg.tau
@@ -457,7 +528,7 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
                 Un, Vn = _linf_rescale_arrays(Un, Vn, alpha)
                 Un = _project_rows_inplace(Un, radius)
                 Vn = _project_rows_inplace(Vn, radius)
-                new_loss, w, Vc = _cell_loss(cells, Un, Vn)
+                new_loss, w, Vc = loss_at(draws, Un, Vn)
                 # False for NaN and inf, so every accepted loss is finite.
                 if new_loss <= loss * (1 + 1e-12):
                     break

@@ -29,6 +29,23 @@ print(" ".join(profile_distance(F0, spectral_magnitude(M0 + 0.01 * s * M1)).hex(
 """
 
 
+# At 300 x 700 with k = 6, U @ V.T and G @ V round differently under one and
+# two BLAS threads.  n = 1x and 2x d1 d2: the grid kernels run.
+_GRID_FITS = """
+import numpy as np
+from maxnorm_completion import (ConstraintSet, NoiseModel, SolverConfig, fit_pgd,
+                                make_distribution, observe, sample_indices)
+d1, d2 = 300, 700
+M0 = np.outer(np.linspace(-1.0, 1.0, d1), np.cos(np.arange(d2)))
+for n in (210_000, 420_000):
+    obs = observe(M0, sample_indices(make_distribution("uniform", d1, d2), n, seed=2),
+                  NoiseModel("gaussian", 0.1), seed=2)
+    result = fit_pgd(obs, ConstraintSet(alpha=1.0, radius=2.0),
+                     SolverConfig(k=6, max_iters=10, seed=2))
+    print(" ".join(x.hex() for x in result.objective_trace))
+"""
+
+
 # The product-distribution weighting reduces over d1 = 20000 rows.
 _PI_WEIGHTED_PRODUCT = """
 import numpy as np
@@ -51,6 +68,12 @@ def _run(script: str, threads: int) -> str:
 def test_fit_trace_and_profile_distance_do_not_depend_on_blas_threads():
     one, two = _run(_FIT_AND_PROFILE_DISTANCE, 1), _run(_FIT_AND_PROFILE_DISTANCE, 2)
     assert len(one.splitlines()[0].split()) == 11  # the start and ten steps
+    assert one == two
+
+
+def test_grid_fit_trace_does_not_depend_on_blas_threads():
+    one, two = _run(_GRID_FITS, 1), _run(_GRID_FITS, 2)
+    assert [len(line.split()) for line in one.splitlines()] == [11, 11]
     assert one == two
 
 

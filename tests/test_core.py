@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,33 @@ def test_non_finite_entries_rejected():
         check_matrix(M)
     with pytest.raises(ValidationError):
         Factorization(U=np.array([[np.inf]]), V=np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("entries", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]])
+def test_check_matrix_names_non_finite_entries(entries):
+    M = np.ones((3, 4))
+    M[1, :len(entries)] = entries
+    with pytest.raises(ValidationError, match="M0 contains non-finite entries"):
+        check_matrix(M, "M0")
+
+
+def test_check_matrix_accepts_finite_entries_whose_sum_overflows():
+    M = np.full((2, 3), 1e308)
+    M[1, 2] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_matrix(M) is M
+
+
+def test_check_matrix_builds_no_temporary_of_the_matrix_size():
+    M = np.random.default_rng(6).normal(size=(2000, 2000))  # a bool mask of it is 3.8 MiB
+    tracemalloc.start()
+    try:
+        check_matrix(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_pi_weighted_uniform_identity():

@@ -22,7 +22,7 @@ from maxnorm_completion import (
     read_records_csv,
     run_experiment,
 )
-from maxnorm_completion import _rng, harness
+from maxnorm_completion import _rng, harness, sampling
 from maxnorm_completion.harness import (
     CSV_HEADER,
     format_record,
@@ -262,6 +262,18 @@ def test_run_trial_rejects_a_distribution_of_another_shape():
         harness.run_trial(np.ones((4, 3)), make_distribution("uniform", 3, 4),
                           NoiseModel("none", 0.0), ConstraintSet(alpha=1.0, radius=1.0),
                           SolverConfig(k=2, max_iters=2), 5, seed=0)
+
+
+def test_run_trial_scans_the_truth_once():
+    M0 = np.ones((3, 4))
+    args = (make_distribution("uniform", 3, 4), NoiseModel("none", 0.0),
+            ConstraintSet(alpha=1.0, radius=1.0), SolverConfig(k=2, max_iters=2), 5)
+    with patch.object(sampling, "check_matrix", wraps=sampling.check_matrix) as check:
+        harness.run_trial(M0, *args, seed=0)
+    check.assert_called_once()
+    M0[2, 1] = np.nan
+    with pytest.raises(ValidationError, match="M0 contains non-finite entries"):
+        harness.run_trial(M0, *args, seed=0)
 
 
 def test_near_complete_noiseless_recovery():

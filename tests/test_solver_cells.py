@@ -1,4 +1,4 @@
-"""The cell-level PGD iteration against the dense and per-column references, and its memory bounds."""
+"""The cell and grid PGD kernels against the dense and per-column references, and their memory."""
 
 import tracemalloc
 import weakref
@@ -49,20 +49,61 @@ shapes = dict(seed=st.integers(0, 2**32 - 1), d1=st.integers(1, 8), d2=st.intege
               n=st.integers(1, 80), pool=st.integers(1, 12))
 
 
+def _kernels(kind, obs):
+    """The draws and the loss and gradient-product kernels fit_pgd runs for `kind`."""
+    if kind == "grid":
+        return solver._on_grid(obs), solver._grid_loss, solver._grid_grad_products
+    return solver._dedupe_observations(obs), solver._cell_loss, solver._cell_grad_products
+
+
 @settings(max_examples=150, deadline=None)
-@given(k=st.integers(1, 4), **shapes)
-@example(seed=2375, d1=1, d2=3, n=58, pool=12, k=1)  # G @ V: terms of 0.03 cancel to -2.7e-6
-def test_cell_loss_and_gradient_products_match_dense_reference(seed, d1, d2, n, pool, k):
+@given(kind=st.sampled_from(["cells", "grid"]), k=st.integers(1, 4), **shapes)
+# G @ V: terms of 0.03 cancel to -2.7e-6.
+@example(kind="cells", seed=2375, d1=1, d2=3, n=58, pool=12, k=1)
+# n >= d1 * d2 with cells never drawn, on one row, on one column, and with k > min(d1, d2).
+@example(kind="grid", seed=2375, d1=1, d2=3, n=58, pool=2, k=1)
+@example(kind="grid", seed=7, d1=1, d2=8, n=40, pool=3, k=4)
+@example(kind="grid", seed=8, d1=6, d2=1, n=30, pool=2, k=3)
+@example(kind="grid", seed=9, d1=3, d2=4, n=80, pool=5, k=4)
+def test_cell_loss_and_gradient_products_match_dense_reference(kind, seed, d1, d2, n, pool, k):
+    # The grid kernels hold for any n; fit_pgd runs them where n >= d1 * d2.
     rng, obs = _duplicate_heavy_instance(seed, d1, d2, n, pool)
     F = Factorization(U=rng.normal(size=(d1, k)), V=rng.normal(size=(d2, k)))
     loss, grad = empirical_loss_and_grad(F, obs)
-    cells = solver._dedupe_observations(obs)
-    cell_loss, w, Vc = solver._cell_loss(cells, F.U, F.V)
-    GV, GtU = solver._cell_grad_products(cells, w, F.U, Vc)
-    assert cell_loss == pytest.approx(loss, rel=1e-12)
+    draws, loss_at, grad_products = _kernels(kind, obs)
+    kernel_loss, w, Vc = loss_at(draws, F.U, F.V)
+    GV, GtU = grad_products(draws, w, F.U, Vc)
+    assert kernel_loss == pytest.approx(loss, rel=1e-12)
     G_abs = _abs_gradient(F, obs)
     _assert_close(GV, grad @ F.V, G_abs @ np.abs(F.V))
     _assert_close(GtU, grad.T @ F.U, G_abs.T @ np.abs(F.U))
+
+
+def test_overflowing_grid_trial_is_rejected():
+    # Cell means of 1e100: the first step of 1e300 times a gradient of about
+    # 1e100 overflows, the rescale makes the factors NaN and the loss is not
+    # finite.  Every halving overflows too, so fit_pgd keeps its start.
+    d1, d2, k = 3, 4, 2
+    rng = np.random.default_rng(4)
+    idx = np.column_stack([rng.integers(0, d1, 20), rng.integers(0, 2, 20)])  # columns 2, 3 undrawn
+    obs = ObservationSet(d1=d1, d2=d2, indices=idx, values=1e100 * (1 + rng.random(20)))
+    constraints = ConstraintSet(alpha=1.0, radius=2.0)
+    grid_loss, losses = solver._grid_loss, []
+
+    def recorded(*args):
+        out = grid_loss(*args)
+        losses.append(out[0])
+        return out
+
+    with patch.object(solver, "_grid_loss", side_effect=recorded):
+        result = fit_pgd(obs, constraints, SolverConfig(k=k, tau=1e300, max_iters=2, seed=0))
+    start = init_factors(d1, d2, k, constraints, seed=0)
+    assert np.isfinite(losses[0])
+    assert len(losses) == 1 + solver.MAX_HALVINGS + 1
+    assert not np.isfinite(losses[1:]).any()
+    assert result.iterations_run == 0 and result.objective_trace == (losses[0],)
+    assert np.array_equal(result.factorization.U, start.U)
+    assert np.array_equal(result.factorization.V, start.V)
 
 
 def _per_column_gather_reference(obs, U, V):
@@ -392,17 +433,23 @@ def test_fit_pgd_allocates_no_dense_grid_array():
     assert peak < d * d * np.dtype(np.float64).itemsize
 
 
-def test_fit_pgd_holds_one_set_of_gathered_columns():
-    # Every cell of a 200 x 200 grid observed once, k = 32: the k x m gathered
-    # columns, 10 MB, outweigh the rest of the fit, about 3.5 m-arrays beyond
-    # them.  Two sets alive at once would pass 2 sets; one stays under 1.5.
-    d, k = 200, 32
+def _every_cell_once(d, missing=0):
+    """One draw of each cell of a d x d grid but the last `missing`, in row-major order."""
     rng = np.random.default_rng(3)
-    rows, cols = np.divmod(np.arange(d * d), d)
-    obs = ObservationSet(d1=d, d2=d, indices=np.column_stack([rows, cols]),
-                         values=rng.normal(size=d * d))
-    one_set = k * d * d * np.dtype(np.float64).itemsize
-    with patch.object(solver, "_cell_loss", wraps=solver._cell_loss) as cell_loss:
+    rows, cols = np.divmod(np.arange(d * d - missing), d)
+    return ObservationSet(d1=d, d2=d, indices=np.column_stack([rows, cols]),
+                          values=rng.normal(size=d * d - missing))
+
+
+def _peak_of_rejecting_fit(obs, k, loss_name):
+    """The tracemalloc peak of an overshooting fit whose loss kernel is `loss_name`."""
+    kernel, calls = getattr(solver, loss_name), []
+
+    def counted(*args):  # a Mock would hold every trial's factors in its call list
+        calls.append(None)
+        return kernel(*args)
+
+    with patch.object(solver, loss_name, counted):
         tracemalloc.start()
         try:
             # tau = 1e5 overshoots: the first trials of an iteration are rejected.
@@ -412,5 +459,47 @@ def test_fit_pgd_holds_one_set_of_gathered_columns():
         finally:
             tracemalloc.stop()
     assert result.iterations_run == 3
-    assert cell_loss.call_count > result.iterations_run + 1  # some trial was rejected
-    assert peak < 1.5 * one_set
+    assert len(calls) > result.iterations_run + 1  # some trial was rejected
+    return peak
+
+
+def test_fit_pgd_holds_one_set_of_gathered_columns():
+    # Every cell of a 200 x 200 grid but one observed once (n < d1 d2, so the
+    # cell kernels run), k = 32: the k x m gathered columns, 10 MB, outweigh
+    # the rest of the fit, about 3.5 m-arrays beyond them.  Two sets alive at
+    # once would pass 2 sets; one stays under 1.5.
+    d, k = 200, 32
+    one_set = k * d * d * np.dtype(np.float64).itemsize
+    assert _peak_of_rejecting_fit(_every_cell_once(d, missing=1), k, "_cell_loss") < 1.5 * one_set
+
+
+def test_grid_fit_reuses_its_buffers():
+    # Every cell observed once: n = d1 d2, so the grid kernels run.  The fit
+    # holds four d1 x d2 arrays (counts, means and the buffers P and G), the
+    # elementwise max's block and factor-sized arrays: 6.4 grid arrays.  One
+    # k x m set of gathered columns would be 32, and a fresh d1 x d2 array
+    # per trial (as U @ V.T - means) reads 7.5.
+    d, k = 200, 32
+    grid_array = d * d * np.dtype(np.float64).itemsize
+    assert _peak_of_rejecting_fit(_every_cell_once(d), k, "_grid_loss") < 7 * grid_array
+
+
+@pytest.mark.parametrize("n, grid", [(11, False), (12, True), (13, True)])
+def test_fit_pgd_runs_the_grid_kernels_once_n_reaches_the_grid(n, grid):
+    rng = np.random.default_rng(n)
+    idx = np.column_stack([rng.integers(0, 3, n), rng.integers(0, 4, n)])
+    obs = ObservationSet(d1=3, d2=4, indices=idx, values=rng.normal(size=n))
+    with patch.object(solver, "_cell_loss", wraps=solver._cell_loss) as cell_loss, \
+            patch.object(solver, "_grid_loss", wraps=solver._grid_loss) as grid_loss, \
+            patch.object(solver, "_cell_grad_products",
+                         wraps=solver._cell_grad_products) as cell_grad, \
+            patch.object(solver, "_grid_grad_products",
+                         wraps=solver._grid_grad_products) as grid_grad:
+        result = fit_pgd(obs, ConstraintSet(alpha=1.0, radius=2.0),
+                         SolverConfig(k=2, max_iters=3, seed=0))
+    assert result.iterations_run >= 1
+    ran, idle = (grid_loss, grid_grad), (cell_loss, cell_grad)
+    if not grid:
+        ran, idle = idle, ran
+    assert all(kernel.call_count > 0 for kernel in ran)
+    assert all(kernel.call_count == 0 for kernel in idle)
