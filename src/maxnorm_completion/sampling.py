@@ -207,6 +207,10 @@ class ObservationSet:
     indices: np.ndarray  # (n, 2) int64
     values: np.ndarray  # (n,) float64
 
+    # True on a subclass that checks its cells are distinct and in row-major
+    # order (model_select.PartialMatrix): the solver takes them as they are.
+    _distinct_row_major = False
+
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
         vals = np.asarray(self.values, dtype=np.float64)

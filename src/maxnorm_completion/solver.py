@@ -11,10 +11,11 @@ ball.
 The loss is exact on the draws' cells: with each cell's draw count, mean
 value and the within-cell sum of squares ss_within, it is
 (sum counts * (prediction - mean)^2 + ss_within) / n.  Draws are taken with
-replacement, so n may reach or pass d1 * d2, and fit_pgd picks one of two
-layouts by that test alone:
+replacement, so n may reach or pass d1 * d2.  fit_pgd picks one of two
+layouts by the density of the m distinct observed cells, through the
+module constant GRID_CELLS_PER_OBSERVED = 4 (see _fit_layout):
 
-- d1 * d2 > n, the cells: the observations collapse onto their m unique
+- d1 * d2 > 4 m, the cells: the observations collapse onto their m unique
   cells, kept in row-major order with a row's cells contiguous (see
   _dedupe_observations).  A PGD iteration evaluates the loss at each trial
   point, gathering every column of V at the cells once into a k x m array;
@@ -23,14 +24,15 @@ layouts by that test alone:
   weights, give G @ V as per-row segment sums, and the repeated columns of
   U, binned by cell column, give G.T @ U.  Only that one k x m set is held:
   a rejected trial's set is dropped before the next trial.  An iteration's
-  time and memory are O((m + d1 + d2) k), and no d1 x d2 array is built.
-- d1 * d2 <= n, the grid: the draw counts and the cell means (0 where no
-  draw fell) stay d1 x d2 arrays, and every trial fills two more allocated
+  time and memory are O((m + d1 + d2) k), and the kernels build no
+  d1 x d2 array.
+- d1 * d2 <= 4 m, the grid: the draw counts and the cell means (0 where no
+  draw fell) are d1 x d2 arrays, and every trial fills two more allocated
   once per fit, P = U @ V.T - means and G = counts * P.  The gradient
   products are G @ V and G.T @ U.  All three products are einsum calls,
   which sum in a fixed order, so the bits do not depend on the BLAS thread
   count.  An iteration takes O(d1 d2 k) time and holds those four d1 x d2
-  arrays, 32 d1 d2 bytes: at most 4/3 of the draws' own 24 n bytes.
+  arrays, 32 d1 d2 <= 128 m bytes.
 
 The elementwise max of U @ V.T is taken exactly by scanning the rows of U
 in decreasing norm and stopping once the Cauchy-Schwarz bound
@@ -64,6 +66,13 @@ FEASIBILITY_SLACK = 1e-9
 
 # Cells per row block of U @ V.T when taking its elementwise max.
 LINF_BLOCK_CELLS = 1 << 20
+
+# fit_pgd runs the grid kernels when d1 * d2 <= GRID_CELLS_PER_OBSERVED * m,
+# for m observed cells, and the cell kernels otherwise.  Timed per iteration
+# on one core at d = 200, 400 and 1000, the grid kernels win above an
+# observed-cell density m / (d1 d2) of about 0.2-0.3 at k = 3, 0.2 at k = 7
+# and 0.1-0.15 at k = 32.
+GRID_CELLS_PER_OBSERVED = 4
 
 
 # Nothing in the package raises this; bench/workloads.py still catches it.
@@ -160,7 +169,8 @@ def _dedupe_observations(obs: ObservationSet) -> _Cells:
 
     With r = prediction - mean at each cell, the empirical loss is exactly
     (sum counts * r^2 + ss_within) / n.  fit_pgd runs on these cells when
-    d1 * d2 > n; PartialMatrix.from_observations takes them for any n.
+    d1 * d2 > GRID_CELLS_PER_OBSERVED * m (see _fit_layout);
+    PartialMatrix.from_observations takes them for any n.
 
     Every cell's sum adds its values in draw order, starting from 0.0, and
     ss_within sums the deviations in draw order, whichever way the cells
@@ -168,37 +178,44 @@ def _dedupe_observations(obs: ObservationSet) -> _Cells:
 
     - when the grid has at most n cells, by counting: _grid_arrays' two
       bincounts of the flat cell index row * d2 + col give every cell's
-      count and mean, the arrays fit_pgd keeps in that regime.  The
+      count and mean, the arrays a grid fit keeps as they are.  The
       observed cells are the nonzero counts, already in row-major order.
       It holds two n-length and two grid-length arrays.
     - otherwise by sorting: an in-place sort of the packed int64 key
       cell * n + draw, or, where d1 * d2 * n would overflow it, a stable
       sort by (row, column).  A bincount over each draw's cell number then
       sums the values in draw order.  It holds about three n-length arrays.
+      Draws whose class declares them distinct and in row-major order, as
+      a PartialMatrix's are, are already their cells: _distinct_cells
+      takes them in O(n), with the bits the sort would give.
     """
     grid = int(obs.d1) * int(obs.d2)
     # Overflows: the means' are reported here, ss_within's by fit_pgd.
     with np.errstate(over="ignore"):
         if grid <= obs.n:
-            cell_rows, cols, counts, means, ss_within = _count_cells(obs, grid)
-        else:
-            cell_rows, cols, counts, means, ss_within = _sort_cells(obs, grid)
+            return _count_cells(obs, *_grid_arrays(obs, grid))
+        if obs._distinct_row_major:
+            return _distinct_cells(obs)
+        return _sort_cells(obs, grid)
+
+
+def _cells(obs: ObservationSet, cell_rows, cols, counts, means, ss_within) -> _Cells:
+    """_Cells from each observed cell's row and column, in row-major order,
+    and its count and mean."""
     row_starts = np.flatnonzero(np.diff(cell_rows, prepend=-1))
-    row_ids = cell_rows[row_starts]
-    return _Cells(cols=cols, row_ids=row_ids, row_starts=row_starts,
+    return _Cells(cols=cols, row_ids=cell_rows[row_starts], row_starts=row_starts,
                   row_counts=np.diff(row_starts, append=cols.size), counts=counts,
                   means=means, ss_within=ss_within, n=obs.n, d2=obs.d2)
 
 
-def _count_cells(obs: ObservationSet, grid: int):
+def _count_cells(obs: ObservationSet, counts, means, ss_within) -> _Cells:
     """_dedupe_observations' cells from _grid_arrays, compacted to the observed cells."""
-    counts, means, ss_within = _grid_arrays(obs, grid)
     cols = np.flatnonzero(counts)
     counts = counts[cols].astype(np.float64)
     means = means[cols]
     cell_rows = np.empty_like(cols)
     np.divmod(cols, obs.d2, out=(cell_rows, cols))
-    return cell_rows, cols, counts, means, ss_within
+    return _cells(obs, cell_rows, cols, counts, means, ss_within)
 
 
 def _grid_arrays(obs: ObservationSet, grid: int):
@@ -218,7 +235,18 @@ def _grid_arrays(obs: ObservationSet, grid: int):
     return counts, means, _within_cell_ss(obs.values, means, key)
 
 
-def _sort_cells(obs: ObservationSet, grid: int):
+def _distinct_cells(obs: ObservationSet) -> _Cells:
+    """_dedupe_observations' cells of draws that are distinct and in row-major
+    order: each draw is its own cell.
+
+    These are the sort's bits: a count of 1, a mean of value + 0.0 (the
+    bincount's sum from 0.0 turns -0.0 into +0.0) and ss_within = 0.0.
+    """
+    return _cells(obs, obs.indices[:, 0], obs.indices[:, 1].copy(), np.ones(obs.n),
+                  obs.values + 0.0, 0.0)
+
+
+def _sort_cells(obs: ObservationSet, grid: int) -> _Cells:
     """_dedupe_observations' cells from one sort of the draws, for grid > n."""
     n = obs.n
     rows, cols = obs.indices.T
@@ -266,7 +294,8 @@ def _sort_cells(obs: ObservationSet, grid: int):
     means = np.bincount(inverse, weights=obs.values)
     means /= counts
     _check_means(means)
-    return cell_rows, cell_cols, counts, means, _within_cell_ss(obs.values, means, inverse)
+    return _cells(obs, cell_rows, cell_cols, counts, means,
+                  _within_cell_ss(obs.values, means, inverse))
 
 
 def _check_means(means):
@@ -338,12 +367,46 @@ class _Grid(NamedTuple):
     G: np.ndarray  # d1 x d2 buffer: counts * P
 
 
-def _on_grid(obs: ObservationSet) -> _Grid:
-    """The draws as d1 x d2 arrays, for d1 * d2 <= n: _grid_arrays, unflattened."""
+def _fit_layout(obs: ObservationSet):
+    """The draws in the layout fit_pgd iterates on, with that layout's loss
+    and gradient-product kernels: the grid (_Grid) when
+    d1 * d2 <= GRID_CELLS_PER_OBSERVED * m for m observed cells, else the
+    cells (_Cells).
+
+    The draws are counted when d1 * d2 <= n and sorted otherwise, as
+    _dedupe_observations does.  The counted grid arrays go to the grid as
+    they are, or are compacted to the cells; the sorted cells go to the
+    cell kernels as they are, or are scattered onto the grid.  Both give
+    the same bits for every cell mean and for ss_within, so a grid fit's
+    bits do not depend on which built its grid.
+    """
+    grid = int(obs.d1) * int(obs.d2)
+    if grid <= obs.n:
+        counts, means, ss_within = _grid_arrays(obs, grid)
+        if grid > GRID_CELLS_PER_OBSERVED * np.count_nonzero(counts):
+            return _count_cells(obs, counts, means, ss_within), _cell_loss, _cell_grad_products
+        counts = counts.astype(np.float64)
+    else:
+        cells = _dedupe_observations(obs)
+        if grid > GRID_CELLS_PER_OBSERVED * cells.cols.size:
+            return cells, _cell_loss, _cell_grad_products
+        (counts, means), ss_within = _scatter(cells, grid), cells.ss_within
+        del cells
     shape = (obs.d1, obs.d2)
-    counts, means, ss_within = _grid_arrays(obs, obs.d1 * obs.d2)
-    return _Grid(counts=counts.astype(np.float64).reshape(shape), means=means.reshape(shape),
-                 ss_within=ss_within, n=obs.n, P=np.empty(shape), G=np.empty(shape))
+    return (_Grid(counts=counts.reshape(shape), means=means.reshape(shape), ss_within=ss_within,
+                  n=obs.n, P=np.empty(shape), G=np.empty(shape)),
+            _grid_loss, _grid_grad_products)
+
+
+def _scatter(cells: _Cells, grid: int):
+    """The cells' counts and means as two flat grid-length arrays in row-major
+    order, 0 where no draw fell, as _grid_arrays gives them: O(m + d1 d2)."""
+    flat = np.repeat(cells.row_ids * cells.d2, cells.row_counts)
+    flat += cells.cols
+    counts, means = np.zeros(grid), np.zeros(grid)
+    counts[flat] = cells.counts
+    means[flat] = cells.means
+    return counts, means
 
 
 # The grid kernels call einsum without `optimize`: `@`, np.dot and an
@@ -492,10 +555,12 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
     iterate is kept and the solve stops.  The accepted trial's gradient
     weights and its columns of V give the next gradient products.
 
-    The kernels are chosen once, by the draws' layout (see the module
-    docstring).  With m observed cells, an iteration takes
-    O((m + d1 + d2) k) time and holds one k x m set when d1 * d2 > n, and
-    O(d1 d2 k) time and four d1 x d2 arrays when d1 * d2 <= n.
+    The layout is chosen once, by the density of the m distinct observed
+    cells (see the module docstring and _fit_layout).  When
+    d1 * d2 > GRID_CELLS_PER_OBSERVED * m, the cells: an iteration takes
+    O((m + d1 + d2) k) time and holds one k x m set of gathered columns.
+    Otherwise the grid: an iteration takes O(d1 d2 k) time and holds four
+    d1 x d2 arrays, at most 128 m bytes.
 
     Raises ValidationError when the loss at the start is not finite, as when
     the observed values are so large that their squares overflow.
@@ -507,11 +572,7 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
     U, V = F0.U, F0.V
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        if int(obs.d1) * int(obs.d2) <= obs.n:
-            draws, loss_at, grad_products = _on_grid(obs), _grid_loss, _grid_grad_products
-        else:
-            draws, loss_at, grad_products = (_dedupe_observations(obs), _cell_loss,
-                                             _cell_grad_products)
+        draws, loss_at, grad_products = _fit_layout(obs)
         loss, w, Vc = loss_at(draws, U, V)
         if not np.isfinite(loss):
             raise ValidationError("the empirical loss at the start is not finite; "

@@ -3,6 +3,7 @@
 import tracemalloc
 import weakref
 from collections import defaultdict
+from contextlib import ExitStack
 from unittest.mock import patch
 
 import numpy as np
@@ -18,6 +19,7 @@ from maxnorm_completion import (
     fit_pgd,
     solver,
 )
+from maxnorm_completion.model_select import PartialMatrix
 from maxnorm_completion.solver import empirical_loss_and_grad, init_factors
 
 
@@ -50,10 +52,12 @@ shapes = dict(seed=st.integers(0, 2**32 - 1), d1=st.integers(1, 8), d2=st.intege
 
 
 def _kernels(kind, obs):
-    """The draws and the loss and gradient-product kernels fit_pgd runs for `kind`."""
-    if kind == "grid":
-        return solver._on_grid(obs), solver._grid_loss, solver._grid_grad_products
-    return solver._dedupe_observations(obs), solver._cell_loss, solver._cell_grad_products
+    """The draws and the loss and gradient-product kernels fit_pgd runs for
+    `kind`, whatever the density of the observed cells."""
+    with patch.object(solver, "GRID_CELLS_PER_OBSERVED", np.inf if kind == "grid" else 0):
+        draws, loss_at, grad_products = solver._fit_layout(obs)
+    assert isinstance(draws, solver._Grid if kind == "grid" else solver._Cells)
+    return draws, loss_at, grad_products
 
 
 @settings(max_examples=150, deadline=None)
@@ -66,7 +70,7 @@ def _kernels(kind, obs):
 @example(kind="grid", seed=8, d1=6, d2=1, n=30, pool=2, k=3)
 @example(kind="grid", seed=9, d1=3, d2=4, n=80, pool=5, k=4)
 def test_cell_loss_and_gradient_products_match_dense_reference(kind, seed, d1, d2, n, pool, k):
-    # The grid kernels hold for any n; fit_pgd runs them where n >= d1 * d2.
+    # Both kernels hold for any density; fit_pgd runs the grid's where d1 * d2 <= 4 m.
     rng, obs = _duplicate_heavy_instance(seed, d1, d2, n, pool)
     F = Factorization(U=rng.normal(size=(d1, k)), V=rng.normal(size=(d2, k)))
     loss, grad = empirical_loss_and_grad(F, obs)
@@ -266,6 +270,36 @@ def test_dedupe_equals_draw_order_reference_bit_for_bit(obs):
     assert cells.d2 == obs.d2
 
 
+@st.composite
+def _partial_matrices(draw):
+    """Distinct cells in row-major order on a grid of up to 8 x 8, values
+    including -0.0."""
+    d1, d2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    flat = sorted(draw(st.sets(st.integers(0, d1 * d2 - 1), min_size=1)))
+    values = draw(st.lists(st.sampled_from([-0.0, 0.0]) | st.floats(-1e300, 1e300),
+                           min_size=len(flat), max_size=len(flat)))
+    return PartialMatrix(d1=d1, d2=d2, indices=np.column_stack(np.divmod(flat, d2)),
+                         values=values)
+
+
+def _same_bits(a, b):
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(P=_partial_matrices())
+@example(P=PartialMatrix(d1=1, d2=5, indices=[[0, 1], [0, 3], [0, 4]], values=[-0.0, 2.0, -3.5]))
+@example(P=PartialMatrix(d1=5, d2=1, indices=[[0, 0], [2, 0], [3, 0]], values=[1.5, -0.0, -0.0]))
+def test_partial_matrix_cells_equal_sorted_cells_bit_for_bit(P):
+    want = solver._sort_cells(P, P.d1 * P.d2)
+    assert all(_same_bits(a, b) for a, b in zip(solver._distinct_cells(P), want))
+    with patch.object(solver, "_sort_cells", wraps=solver._sort_cells) as sorted_:
+        solver._dedupe_observations(P)
+    assert sorted_.call_count == 0
+
+
 def test_dedupe_on_a_grid_too_large_for_the_packed_key():
     top = 2 ** 32 - 1  # row * d2 + col alone overflows int64 here
     obs = ObservationSet(d1=2 ** 32, d2=2 ** 32,
@@ -433,12 +467,12 @@ def test_fit_pgd_allocates_no_dense_grid_array():
     assert peak < d * d * np.dtype(np.float64).itemsize
 
 
-def _every_cell_once(d, missing=0):
-    """One draw of each cell of a d x d grid but the last `missing`, in row-major order."""
+def _cells_once(d, step=1):
+    """One draw of every step-th cell of a d x d grid, in row-major order."""
     rng = np.random.default_rng(3)
-    rows, cols = np.divmod(np.arange(d * d - missing), d)
+    rows, cols = np.divmod(np.arange(0, d * d, step), d)
     return ObservationSet(d1=d, d2=d, indices=np.column_stack([rows, cols]),
-                          values=rng.normal(size=d * d - missing))
+                          values=rng.normal(size=rows.size))
 
 
 def _peak_of_rejecting_fit(obs, k, loss_name):
@@ -464,13 +498,17 @@ def _peak_of_rejecting_fit(obs, k, loss_name):
 
 
 def test_fit_pgd_holds_one_set_of_gathered_columns():
-    # Every cell of a 200 x 200 grid but one observed once (n < d1 d2, so the
-    # cell kernels run), k = 32: the k x m gathered columns, 10 MB, outweigh
-    # the rest of the fit, about 3.5 m-arrays beyond them.  Two sets alive at
-    # once would pass 2 sets; one stays under 1.5.
-    d, k = 200, 32
-    one_set = k * d * d * np.dtype(np.float64).itemsize
-    assert _peak_of_rejecting_fit(_every_cell_once(d, missing=1), k, "_cell_loss") < 1.5 * one_set
+    # Every fifth cell of a 400 x 400 grid observed once: m = d1 d2 / 5, below
+    # the grid's density of 1/4, so the cell kernels run.  With k = 32 the
+    # k x m gathered columns, 8 MB, outweigh the rest of the fit: the cells'
+    # three m-arrays and a trial's three more are 6/32 of a set, and about
+    # eight factor-sized arrays, d k each, 1/10.  The elementwise max's block
+    # is freed before a trial gathers.  Two sets alive at once would pass
+    # 2 sets; one stays under 1.5.
+    d, k = 400, 32
+    obs = _cells_once(d, step=5)
+    one_set = k * obs.n * np.dtype(np.float64).itemsize
+    assert _peak_of_rejecting_fit(obs, k, "_cell_loss") < 1.5 * one_set
 
 
 def test_grid_fit_reuses_its_buffers():
@@ -481,25 +519,37 @@ def test_grid_fit_reuses_its_buffers():
     # per trial (as U @ V.T - means) reads 7.5.
     d, k = 200, 32
     grid_array = d * d * np.dtype(np.float64).itemsize
-    assert _peak_of_rejecting_fit(_every_cell_once(d), k, "_grid_loss") < 7 * grid_array
+    assert _peak_of_rejecting_fit(_cells_once(d), k, "_grid_loss") < 7 * grid_array
 
 
-@pytest.mark.parametrize("n, grid", [(11, False), (12, True), (13, True)])
-def test_fit_pgd_runs_the_grid_kernels_once_n_reaches_the_grid(n, grid):
-    rng = np.random.default_rng(n)
-    idx = np.column_stack([rng.integers(0, 3, n), rng.integers(0, 4, n)])
-    obs = ObservationSet(d1=3, d2=4, indices=idx, values=rng.normal(size=n))
-    with patch.object(solver, "_cell_loss", wraps=solver._cell_loss) as cell_loss, \
-            patch.object(solver, "_grid_loss", wraps=solver._grid_loss) as grid_loss, \
-            patch.object(solver, "_cell_grad_products",
-                         wraps=solver._cell_grad_products) as cell_grad, \
-            patch.object(solver, "_grid_grad_products",
-                         wraps=solver._grid_grad_products) as grid_grad:
+@pytest.mark.parametrize("n, m, grid", [
+    (3, 3, False),  # distinct cells, sorted: m < d1 d2 / 4
+    (4, 4, True),  # distinct cells, sorted and scattered: m = d1 d2 / 4
+    (16, 3, False),  # n = d1 d2, counted and compacted to the cells
+    (16, 4, True),  # n = d1 d2, counted: the grid arrays as they are
+    (10, 5, True),  # n < d1 d2 with repeats, sorted and scattered
+])
+def test_fit_pgd_runs_the_grid_kernels_once_a_quarter_of_the_cells_are_observed(n, m, grid):
+    # On a 4 x 4 grid the grid kernels run exactly when d1 d2 <= 4 m.
+    rng = np.random.default_rng(n + m)
+    cells = rng.choice(16, size=m, replace=False)
+    flat = rng.permutation(np.concatenate([cells, rng.choice(cells, size=n - m)]))
+    obs = ObservationSet(d1=4, d2=4, indices=np.column_stack(np.divmod(flat, 4)),
+                         values=rng.normal(size=n))
+    spies = {name: patch.object(solver, name, wraps=getattr(solver, name)) for name in (
+        "_cell_loss", "_cell_grad_products", "_grid_loss", "_grid_grad_products",
+        "_count_cells", "_sort_cells", "_scatter")}
+    with ExitStack() as stack:
+        calls = {name: stack.enter_context(spy) for name, spy in spies.items()}
         result = fit_pgd(obs, ConstraintSet(alpha=1.0, radius=2.0),
                          SolverConfig(k=2, max_iters=3, seed=0))
     assert result.iterations_run >= 1
-    ran, idle = (grid_loss, grid_grad), (cell_loss, cell_grad)
+    ran, idle = ("_grid_loss", "_grid_grad_products"), ("_cell_loss", "_cell_grad_products")
     if not grid:
         ran, idle = idle, ran
-    assert all(kernel.call_count > 0 for kernel in ran)
-    assert all(kernel.call_count == 0 for kernel in idle)
+    assert all(calls[name].call_count > 0 for name in ran)
+    assert all(calls[name].call_count == 0 for name in idle)
+    counted = n >= 16
+    assert calls["_sort_cells"].call_count == (not counted)
+    assert calls["_count_cells"].call_count == (counted and not grid)  # the compaction
+    assert calls["_scatter"].call_count == (not counted and grid)
