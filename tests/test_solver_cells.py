@@ -522,6 +522,31 @@ def test_grid_fit_reuses_its_buffers():
     assert _peak_of_rejecting_fit(_cells_once(d), k, "_grid_loss") < 7 * grid_array
 
 
+@pytest.mark.parametrize("n, counted", [(11, False), (12, True), (13, True)])
+def test_fit_pgd_runs_the_grid_kernels_once_n_reaches_the_grid(n, counted):
+    # n draws at random on a 3 x 4 grid observe at least a quarter of its
+    # cells, so the grid kernels run on either side of n = d1 d2.  Once n
+    # reaches the grid the draws are counted straight onto it; below it they
+    # are sorted to their cells and scattered onto the grid.
+    rng = np.random.default_rng(n)
+    idx = np.column_stack([rng.integers(0, 3, n), rng.integers(0, 4, n)])
+    assert 12 <= 4 * np.unique(idx[:, 0] * 4 + idx[:, 1]).size
+    obs = ObservationSet(d1=3, d2=4, indices=idx, values=rng.normal(size=n))
+    spies = {name: patch.object(solver, name, wraps=getattr(solver, name)) for name in (
+        "_cell_loss", "_cell_grad_products", "_grid_loss", "_grid_grad_products",
+        "_count_cells", "_sort_cells", "_scatter")}
+    with ExitStack() as stack:
+        calls = {name: stack.enter_context(spy) for name, spy in spies.items()}
+        result = fit_pgd(obs, ConstraintSet(alpha=1.0, radius=2.0),
+                         SolverConfig(k=2, max_iters=3, seed=0))
+    assert result.iterations_run >= 1
+    assert all(calls[name].call_count > 0 for name in ("_grid_loss", "_grid_grad_products"))
+    assert all(calls[name].call_count == 0 for name in ("_cell_loss", "_cell_grad_products"))
+    assert calls["_count_cells"].call_count == 0
+    assert calls["_sort_cells"].call_count == (not counted)
+    assert calls["_scatter"].call_count == (not counted)
+
+
 @pytest.mark.parametrize("n, m, grid", [
     (3, 3, False),  # distinct cells, sorted: m < d1 d2 / 4
     (4, 4, True),  # distinct cells, sorted and scattered: m = d1 d2 / 4
