@@ -19,8 +19,8 @@ import numpy as np
 
 from . import _rng
 from .core import ConstraintSet, Factorization, ValidationError, _nonblank_lines, _parse_rows
-from .sampling import (CDF_BLOCK_CELLS, NOISE_KINDS, NoiseModel, SamplingDistribution,
-                       make_distribution, observe, sample_indices)
+from .sampling import (NOISE_KINDS, NoiseModel, SamplingDistribution, make_distribution,
+                       observe, sample_indices)
 from .solver import DEFAULT_MAX_ITERS, DEFAULT_TAU, DEFAULT_TOL, SolverConfig, fit_pgd
 
 CSV_HEADER = ("n,replicate,seed,per_entry_mse,pi_weighted_mse,runtime_ms,"
@@ -28,6 +28,10 @@ CSV_HEADER = ("n,replicate,seed,per_entry_mse,pi_weighted_mse,runtime_ms,"
 # The tokens of the two feasibility columns, and the statuses a records CSV may hold.
 _CSV_FLAGS = {"true": True, "false": False}
 _STATUSES = ("ok", "diverged")
+
+# Cells per row block that `_sq_errors` multiplies out at a time: 2 MB of
+# float64.  A row longer than this is one block.
+SCORE_BLOCK_CELLS = 1 << 18
 
 RADIUS_RULE_SQRT_RANK = "alpha_sqrt_rank"
 
@@ -142,7 +146,7 @@ def run_trial(M0, distribution, noise, constraints, solver_cfg, n, seed,
 def _sq_errors(F: Factorization, M0: np.ndarray, distribution) -> tuple:
     """sum (U V^T - M0)^2 and sum pi * (U V^T - M0)^2, as two floats.
 
-    Row blocks of at most CDF_BLOCK_CELLS cells (one row if a row is longer)
+    Row blocks of at most SCORE_BLOCK_CELLS cells (one row if a row is longer)
     are multiplied out into one reused buffer, the truth subtracted in
     place, and squared and summed by einsum, whose order does not depend on
     the BLAS thread count.  The weights of every distribution kind come
@@ -150,7 +154,7 @@ def _sq_errors(F: Factorization, M0: np.ndarray, distribution) -> tuple:
     """
     U, V = F.U, F.V
     d1, d2 = M0.shape
-    step = max(1, CDF_BLOCK_CELLS // d2)
+    step = max(1, SCORE_BLOCK_CELLS // d2)
     D = np.empty((min(step, d1), d2))
     W = np.empty_like(D)
     sq = weighted = 0.0

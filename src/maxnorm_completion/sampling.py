@@ -9,15 +9,15 @@ fresh unit-variance noise per draw.  Both steps are seeded and reproducible:
 identical seeds give identical index sequences and identical noise.
 
 A uniform index draw takes the row, then the column, from
-`Generator.integers`: O(n) time and memory on any grid.  A product or
-explicit draw is inverse-CDF on the flattened distribution and equals
-numpy's `Generator.choice` with `p` draw for draw.  It never holds the
-d1 x d2 CDF: it walks the grid in row blocks of at most CDF_BLOCK_CELLS
-cells, twice, carrying the running sum from block to block, and locates
-each uniform in its block's CDF through a guide table (Chen & Asau 1974),
-so it sorts nothing and holds O(n + one block) memory whatever the grid
-(see `sample_indices`).  `observe` sums each chunk of gathered truth
-values into the noise array, which becomes the observation values.
+`Generator.integers`.  A product draw takes the row from the row marginal,
+then the column from the column marginal, and an explicit draw takes the
+cell from the flattened cell probabilities; each of these is inverse-CDF,
+equal to numpy's `Generator.choice` with `p` on that vector draw for draw,
+and locates each uniform through a guide table (Chen & Asau 1974), so it
+sorts nothing.  Uniform and product draws hold O(n + d1 + d2) memory
+whatever the grid (see `sample_indices`).  `observe` sums each chunk of
+gathered truth values into the noise array, which becomes the observation
+values.
 """
 
 from dataclasses import dataclass, field
@@ -35,12 +35,8 @@ LAPLACE_UNIT_SCALE = 1.0 / np.sqrt(2.0)
 
 NOISE_KINDS = ("gaussian", "laplace", "none")
 
-# Cells per row block of the flattened distribution that `sample_indices`
-# holds at a time: 2 MB of float64.  A row longer than this is one block.
-CDF_BLOCK_CELLS = 1 << 18
-
-# Draws per chunk of the guide-table search in `sample_indices`, so that a
-# chunk's temporaries stay in cache.
+# Draws per chunk of the guide-table search in `_choice`, so that a chunk's
+# temporaries stay in cache.
 DRAW_CHUNK = 1 << 13
 
 # Vectorized scan steps per chunk before the draws left in crowded guide
@@ -69,7 +65,8 @@ class SamplingDistribution:
 
     Zero cells are allowed here; `make_distribution` rejects them.
     `sample_indices` draws a uniform distribution's rows and columns
-    directly, and walks the cell CDF of the other two kinds.
+    directly, a product one's from `row_probs` and `col_probs`, and an
+    explicit one's cells from the CDF of `cell_probs`.
     """
 
     d1: int
@@ -319,153 +316,88 @@ def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
     """n i.i.d. with-replacement index draws, as an (n, 2) int64 array of
     (row, column) pairs, deterministic given seed.
 
-    A uniform distribution draws n rows with `Generator.integers(0, d1)`,
-    then n columns with `Generator.integers(0, d2)`, from the sampling
-    stream: O(n) time and memory, with no d1*d2 product formed.
-
-    Product and explicit draws are inverse-CDF on the flattened
-    distribution: each uniform u becomes `cdf.searchsorted(u,
-    side="right")` in the normalized cumulative sum of `probs.ravel()`.
-    It equals `Generator.choice(d1*d2, size=n, p=probs.ravel())` draw for
-    draw: the same uniforms from one `random(n)` call, the same CDF values,
-    the same answers, no other random numbers.  The CDF is never held
-    whole.  The grid is walked in row blocks of at most CDF_BLOCK_CELLS
-    cells (one row if a row is longer), each built into one reused buffer:
-
-      pass 1 makes `Generator.choice`'s checks and takes the CDF block by
-             block, adding the running sum into each block's first cell
-             before an in-place cumsum, so every value is the float the
-             full cumsum gives; it keeps the sum entering each block;
-      pass 2 rebuilds each block's CDF the same way, divides it by the
-             last CDF value, and locates the uniforms that fall in the
-             block.  A grid of several blocks first routes each uniform
-             to its block by the normalized block ends; a one-block grid
-             has nothing to route.
-
-    The location goes through a guide table.  Take a monotone bucket map
-    g, here floor((u - start) * B / (stop - start)) over the block's range
-    [start, stop) of uniforms, with B a power of two at or above its cell
-    count; lo[b] counts the block's cells whose CDF value has a bucket
-    below b.  A CDF value in a lower bucket than u is below u, and one in
-    a higher bucket is above it, because g is monotone.  So a uniform in
-    bucket b lies past exactly lo[b] cells plus those from lo[b] on whose
-    CDF value is <= u, whatever the rounding of g.  A few vectorized
-    rounds compare CDF values with u and step on; the few draws left in a
-    bucket crowded by tiny or zero cells get a binary search of the block.
-    Draws go through in chunks of DRAW_CHUNK, written straight into the
-    (n, 2) output.  Memory is O(n + one block): the uniforms, the output,
-    one block's CDF and one table of B + 2 counts (and, with several
-    blocks, the draws' order by block), not O(d1*d2).
+    Every kind draws from the sampling stream, rows first:
+      uniform  -- n rows from `Generator.integers(0, d1)`, then n columns
+                  from `Generator.integers(0, d2)`;
+      product  -- row and column are independent, so n rows are drawn from
+                  the row marginal, then n columns from the column marginal,
+                  each equal draw for draw to `Generator.choice` on that
+                  marginal (see `_choice`);
+      explicit -- n cells from the flattened cell probabilities, equal to
+                  `Generator.choice(d1*d2, p=probs.ravel())` draw for draw,
+                  then split into row and column by one divmod by d2.
+    Uniform and product draws take O(n + d1 + d2) time and memory.  An
+    explicit draw also holds the d1*d2 CDF and its guide table, 16 to 24
+    bytes per cell beside the 8 its distribution already holds.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    d1, d2 = dist.d1, dist.d2
-    if dist.kind == "uniform":
-        rng = _rng.stream_rng(seed, _rng.SAMPLING)
-        out = np.empty((n, 2), dtype=np.int64)
-        out[:, 0] = rng.integers(0, d1, size=n)
-        out[:, 1] = rng.integers(0, d2, size=n)
-        return out
-    step = max(1, CDF_BLOCK_CELLS // d2)
-    blocks = [(r0, min(r0 + step, d1)) for r0 in range(0, d1, step)]
-    buf = np.empty((min(step, d1), d2))
-
-    def block(k):
-        r0, r1 = blocks[k]
-        return dist._rows_into(r0, r1, buf[:r1 - r0]).ravel()
-
-    def cumsum_from(carry, p):
-        """p's cumulative sum in place, starting from the sum entering it."""
-        p[0] += carry
-        return np.cumsum(p, out=p)
-
-    # Pass 1: the checks Generator.choice makes on p, and the running sums.
-    total, carries = 0.0, [0.0]
-    for k in range(len(blocks)):
-        p = block(k)
-        block_sum = p.sum()
-        if np.isnan(block_sum):
-            raise ValidationError("probabilities contain NaN")
-        if (p < 0).any():
-            raise ValidationError("probabilities must be nonnegative")
-        total += block_sum
-        carries.append(cumsum_from(carries[-1], p)[-1])
-    if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):
-        raise ValidationError(f"probabilities must sum to 1, got {total!r}")
-
-    # Pass 2: a uniform u lands in block k when the normalized CDF value
-    # ending block k - 1 is <= u < the one ending block k (side="right").
     rng = _rng.stream_rng(seed, _rng.SAMPLING)
-    u = rng.random(n)
-    bounds = np.divide(carries, carries[-1])  # block k's draws: bounds[k] <= u < bounds[k + 1]
-    if len(blocks) == 1:
-        order, starts = None, [0, n]
-    else:
-        owner = bounds[1:-1].searchsorted(u, side="right")
-        owner = owner.astype(np.min_scalar_type(len(blocks) - 1))
-        order = np.argsort(owner, kind="stable")  # a radix sort while blocks fit in 16 bits
-        starts = [0] + np.bincount(owner, minlength=len(blocks)).cumsum().tolist()
-        del owner
     out = np.empty((n, 2), dtype=np.int64)
-    lo = np.empty((1 << (buf.size - 1).bit_length()) + 2, dtype=np.intp)  # one guide table
-    for k, (r0, _) in enumerate(blocks):
-        if starts[k + 1] == starts[k]:
-            continue
-        cdf = cumsum_from(carries[k], block(k))
-        cdf /= carries[-1]
-        scale = _guide_table(cdf, bounds[k], bounds[k + 1], lo)
-        for t in range(starts[k], starts[k + 1], DRAW_CHUNK):
-            stop = min(t + DRAW_CHUNK, starts[k + 1])
-            draws = slice(t, stop) if order is None else order[t:stop]
-            flat = _guide_search(cdf, lo, bounds[k], scale, u[draws])
-            flat += r0 * d2
-            out[draws, 0], out[draws, 1] = np.divmod(flat, d2)
+    if dist.kind == "uniform":
+        out[:, 0] = rng.integers(0, dist.d1, size=n)
+        out[:, 1] = rng.integers(0, dist.d2, size=n)
+    elif dist.kind == "product":
+        _choice(dist.row_probs, rng.random(n), out[:, 0])
+        _choice(dist.col_probs, rng.random(n), out[:, 1])
+    else:
+        _choice(dist.cell_probs.ravel(), rng.random(n), out[:, 0])
+        np.divmod(out[:, 0], dist.d2, out=(out[:, 0], out[:, 1]))
     return out
 
 
-def _bucket(x, start: float, scale: float) -> np.ndarray:
-    """The guide bucket floor((x - start) * scale) of each x >= start, as
-    intp: monotone in x, since every rounding step is."""
-    y = x - start
-    y *= scale
-    return y.astype(np.intp)
+def _choice(p, u, out) -> None:
+    """Write into `out` the indices that `Generator.choice(p.size, p=p)`
+    draws from the uniforms u.
 
-
-def _guide_table(cdf, start: float, stop: float, lo) -> float:
-    """Fill the guide table `lo`, of B + 2 entries, for one block's
-    normalized CDF, whose draws u satisfy start <= u < stop, and return the
-    bucket map's scale, B / (stop - start).
-
-    lo[b] becomes the count of cells j whose `_bucket(cdf[j], start, scale)`
-    is below b, for b = 0 .. B.  No bucket exceeds B, since no value
-    exceeds stop and (stop - start) * scale rounds to within an ulp of B.
-    B is a power of two at or above the block's cell count.
+    It makes `Generator.choice`'s checks on p, takes the same CDF,
+    `cumsum(p) / cdf[-1]`, and writes `cdf.searchsorted(u, side="right")`
+    through a guide table (Chen & Asau 1974), DRAW_CHUNK draws at a time:
+    it sorts nothing, and holds the CDF and a table of at most
+    2 * p.size + 1 counts.
     """
-    buckets = lo.size - 2
-    with np.errstate(over="ignore"):
-        scale = buckets / (stop - start)
-    if not np.isfinite(scale):
-        scale = 0.0  # a constant map is monotone too: every draw is searched
+    total = p.sum()
+    if np.isnan(total):
+        raise ValidationError("probabilities contain NaN")
+    if (p < 0).any():
+        raise ValidationError("probabilities must be nonnegative")
+    if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        raise ValidationError(f"probabilities must sum to 1, got {total!r}")
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    lo = _guide_table(cdf)
+    for t in range(0, u.size, DRAW_CHUNK):
+        out[t:t + DRAW_CHUNK] = _guide_search(cdf, lo, u[t:t + DRAW_CHUNK])
+
+
+def _guide_table(cdf) -> np.ndarray:
+    """The guide table of a normalized CDF, whose values lie in [0, 1] and
+    end at 1: B + 2 counts, with B a power of two at or above cdf.size.
+
+    The bucket of x is floor(x * B): monotone in x, since multiplying by a
+    power of two is exact and truncation is monotone, and at most B.
+    Entry b counts the cells whose CDF value has a bucket below b.
+    """
+    buckets = 1 << (cdf.size - 1).bit_length()
+    lo = np.zeros(buckets + 2, dtype=np.intp)
     # The cells' buckets ascend with j, so each chunk counts its own range.
-    lo.fill(0)
     for t in range(0, cdf.size, DRAW_CHUNK):
-        b = _bucket(cdf[t:t + DRAW_CHUNK], start, scale)
+        b = (cdf[t:t + DRAW_CHUNK] * buckets).astype(np.intp)
         lo[b[0] + 1:b[-1] + 2] += np.bincount(b - b[0])
-    np.cumsum(lo, out=lo)
-    return scale
+    return np.cumsum(lo, out=lo)
 
 
-def _guide_search(cdf, lo, start: float, scale: float, u) -> np.ndarray:
+def _guide_search(cdf, lo, u) -> np.ndarray:
     """cdf.searchsorted(u, side="right") through the guide table `lo`.
 
-    A draw in bucket b lies above every CDF value of a lower bucket and
+    A uniform in bucket b lies above every CDF value of a lower bucket and
     below every one of a higher bucket, so its answer is lo[b] plus the
     cells from lo[b] on whose value is <= u.  GUIDE_ROUNDS steps count
-    them.  The block's last value exceeds every u routed to it, so no scan
-    leaves the block.  Draws whose scan has not ended sit in a bucket
-    crowded with tiny or zero cells, and are binary-searched.
+    them.  The last CDF value, 1, exceeds every u, so no scan leaves the
+    CDF.  Draws whose scan has not ended sit in a bucket crowded with tiny
+    or zero cells, and are binary-searched.
     """
-    pos = lo.take(_bucket(u, start, scale))
+    pos = lo.take((u * (lo.size - 2)).astype(np.intp))
     for _ in range(GUIDE_ROUNDS):
         pos += cdf.take(pos) <= u
     rest = np.flatnonzero(cdf.take(pos) <= u)

@@ -222,8 +222,8 @@ def _scored_fits(draw):
 def test_blocked_scores_match_dense_reference(case, block_rows):
     F, M0, dist = case
     (d1, d2), k = M0.shape, F.k
-    cells = harness.CDF_BLOCK_CELLS if block_rows is None else block_rows * d2
-    with patch.object(harness, "CDF_BLOCK_CELLS", cells):
+    cells = harness.SCORE_BLOCK_CELLS if block_rows is None else block_rows * d2
+    with patch.object(harness, "SCORE_BLOCK_CELLS", cells):
         sq, weighted = harness._sq_errors(F, M0, dist)
     delta = F.product() - M0
     # Each entry U_i . V_j - M0_ij errs by at most (k + 1) eps times the sum
@@ -280,7 +280,8 @@ def test_near_complete_noiseless_recovery():
     # All-cells sample budget, no noise: the completion should be tight.
     # Every fit runs to its cap, so the outcome depends on the sample: the
     # bound holds at 127 of the 200 base seeds 60-259.  A flat explicit grid
-    # keeps the sample this test was written against: it walks the cell CDF.
+    # keeps the sample this test was written against: it draws from the
+    # flattened cell CDF.
     dist = make_distribution("explicit", 20, 20, probs=np.ones((20, 20)))
     cfg = ExperimentConfig(
         d1=20, d2=20, rank=2, alpha=1.0, truth_seed=5,

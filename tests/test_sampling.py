@@ -183,8 +183,14 @@ def test_sampling_determinism():
 
 
 def _choice_draws(dist, n, seed):
-    """The draws of `Generator.choice` on the flattened distribution, unravelled."""
+    """The draws of `Generator.choice` from one sampling stream: a product
+    distribution's n rows from its row marginal, then n columns from its
+    column marginal; an explicit one's n cells from its flattened
+    probabilities, unravelled."""
     rng = _rng.stream_rng(seed, _rng.SAMPLING)
+    if dist.kind == "product":
+        rows = rng.choice(dist.d1, size=n, p=dist.row_probs)
+        return np.column_stack([rows, rng.choice(dist.d2, size=n, p=dist.col_probs)])
     flat = rng.choice(dist.d1 * dist.d2, size=n, p=dist.probs.ravel())
     return np.column_stack(np.unravel_index(flat, (dist.d1, dist.d2)))
 
@@ -205,7 +211,7 @@ def _weight_lists(size):
 @st.composite
 def _distributions(draw):
     """Product, explicit and point-mass distributions, the first two with zero
-    cells: the kinds whose draw walks the cell CDF."""
+    cells: the kinds whose draw searches a CDF."""
     d1, d2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     kind = draw(st.sampled_from(["product", "explicit", "point"]))
     if kind == "product":
@@ -239,7 +245,9 @@ def test_sample_indices_ties_equal_generator_choice():
     dists = [make_distribution("explicit", 2, 2, probs=np.ones((2, 2))),
              make_distribution("explicit", 2, 5, probs=np.ones((2, 5))),  # its CDF ends below 1
              _with_zero_cells("explicit", leading_zeros),
-             _point_mass(3, 4, 2, 3)]
+             _point_mass(3, 4, 2, 3),
+             # marginal CDFs with exact ties at 0.25 and 0.5, and a zero first column
+             _with_zero_cells("product", [1.0, 1.0, 2.0], [0.0, 1.0, 1.0, 2.0])]
     tie_rng = lambda seed, stream: _TieGenerator(np.random.PCG64(seed))
     with patch.object(_rng, "stream_rng", tie_rng):
         for dist in dists:
@@ -253,7 +261,7 @@ def test_sample_indices_pinned_draws():
     dist = make_distribution("product", 5, 7, row_marginals=[1, 2, 3, 4, 5],
                              col_marginals=[7, 6, 5, 4, 3, 2, 1])
     assert sample_indices(dist, 8, seed=2013).tolist() == [
-        [2, 0], [3, 0], [4, 0], [3, 2], [0, 4], [1, 0], [2, 2], [3, 0]]
+        [2, 4], [3, 0], [4, 1], [3, 5], [0, 1], [1, 2], [2, 0], [3, 1]]
     assert sample_indices(make_distribution("uniform", 5, 7), 8, seed=2013).tolist() == [
         [2, 3], [1, 0], [1, 1], [2, 0], [2, 6], [3, 2], [3, 0], [2, 2]]
 
@@ -273,31 +281,36 @@ def test_uniform_sample_indices_equal_integers_reference(d1, d2, n, seed):
     assert np.array_equal(idx, np.column_stack([rows, cols]))
 
 
-@settings(deadline=None, max_examples=200)
-@given(dist=_distributions(), n=st.integers(1, 300), seed=st.integers(0, 2**63 - 1),
-       block_cells=st.integers(1, 20), ties=st.booleans())
-def test_sample_indices_in_row_blocks_equals_generator_choice(dist, n, seed, block_cells, ties):
-    # Blocks of a few cells: uniforms fall on block boundaries, zero cells
-    # open and close blocks, and a long row makes a block of its own.
-    stream_rng = (lambda s, stream: _TieGenerator(np.random.PCG64(s))) if ties else _rng.stream_rng
-    with patch.object(_rng, "stream_rng", stream_rng), \
-            patch.object(sampling, "CDF_BLOCK_CELLS", block_cells):
-        idx = sample_indices(dist, n, seed)
-        assert np.array_equal(idx, _choice_draws(dist, n, seed))
-
-
 def test_sample_indices_holds_no_dense_cdf():
-    d = 2000
-    dist = make_distribution("product", d, d, row_marginals=np.arange(1.0, d + 1),
-                             col_marginals=np.ones(d))
+    # The d1*d2 CDF alone takes 30.5 MiB at d = 2000 and 3 GiB at d = 20000.
+    for d in (2000, 20_000):
+        dist = make_distribution("product", d, d, row_marginals=np.arange(1.0, d + 1),
+                                 col_marginals=np.ones(d))
+        tracemalloc.start()
+        try:
+            idx = sample_indices(dist, 100_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, d
+        assert idx.shape == (100_000, 2) and idx.dtype == np.int64
+
+
+def test_explicit_sample_indices_memory():
+    # An explicit draw holds its d1*d2 CDF and a guide table of 2**20 + 2
+    # counts here, beside the output, its uniforms and one chunk's temporaries.
+    d1 = d2 = 1000
+    n = 100_000
+    rng = np.random.default_rng(6)
+    dist = make_distribution("explicit", d1, d2, probs=rng.uniform(0.5, 1.0, (d1, d2)))
     tracemalloc.start()
     try:
-        idx = sample_indices(dist, 100_000, seed=3)
+        idx = sample_indices(dist, n, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 << 20  # the d1*d2 CDF alone takes 30.5 MB
-    assert idx.shape == (100_000, 2) and idx.dtype == np.int64
+    assert peak <= 16 * d1 * d2 + 48 * n + (1 << 20)
+    assert np.array_equal(idx, _choice_draws(dist, n, seed=3))
 
 
 class _CrowdedBucketGenerator(np.random.Generator):
@@ -334,13 +347,10 @@ def test_sample_indices_in_crowded_guide_bucket_equals_generator_choice(crowded_
 
 
 @settings(deadline=None, max_examples=100)
-@given(dist=_distributions(), seed=st.integers(0, 2**63 - 1), chunk=st.integers(1, 8),
-       block_cells=st.sampled_from([None, 1, 5]))
-def test_sample_indices_over_several_chunks_equals_generator_choice(dist, seed, chunk,
-                                                                    block_cells):
+@given(dist=_distributions(), seed=st.integers(0, 2**63 - 1), chunk=st.integers(1, 8))
+def test_sample_indices_over_several_chunks_equals_generator_choice(dist, seed, chunk):
     n = 3 * chunk + 1
-    with patch.object(sampling, "DRAW_CHUNK", chunk), \
-            patch.object(sampling, "CDF_BLOCK_CELLS", block_cells or sampling.CDF_BLOCK_CELLS):
+    with patch.object(sampling, "DRAW_CHUNK", chunk):
         assert np.array_equal(sample_indices(dist, n, seed), _choice_draws(dist, n, seed))
 
 
@@ -374,14 +384,20 @@ def test_sample_indices_rechecks_probabilities(bad):
 
 
 def test_empirical_distribution_total_variation():
+    # Against the cell probabilities, so for the skewed product the bound
+    # also checks that rows and columns are drawn independently.
     rng = np.random.default_rng(5)
-    probs = rng.uniform(0.2, 1.0, size=(5, 5))
-    dist = make_distribution("explicit", 5, 5, probs=probs)
-    idx = sample_indices(dist, 100_000, seed=77)
-    counts = np.zeros((5, 5))
-    np.add.at(counts, (idx[:, 0], idx[:, 1]), 1.0)
-    tv = 0.5 * np.abs(counts / idx.shape[0] - dist.probs).sum()
-    assert tv < 0.02
+    dists = {"explicit": make_distribution("explicit", 5, 5,
+                                           probs=rng.uniform(0.2, 1.0, size=(5, 5))),
+             "product": make_distribution("product", 5, 5,
+                                          row_marginals=1.0 / np.arange(1, 6) ** 0.7,
+                                          col_marginals=[4.0, 1.0, 3.0, 0.5, 2.0])}
+    for kind, dist in dists.items():
+        idx = sample_indices(dist, 100_000, seed=77)
+        counts = np.zeros((5, 5))
+        np.add.at(counts, (idx[:, 0], idx[:, 1]), 1.0)
+        tv = 0.5 * np.abs(counts / idx.shape[0] - dist.probs).sum()
+        assert tv < 0.02, kind
 
 
 def test_observe_noiseless_copies_entries():
