@@ -118,10 +118,9 @@ class ConstraintSet:
 def pi_weighted_sq_norm(M, distribution) -> float:
     """Sampling-weighted squared norm: sum_kl pi[k,l] * M[k,l]^2.
 
-    Uniform and product distributions are weighted through their
-    marginals, with no d1 x d2 temporary: sum(M^2) / (d1*d2) and
-    row_probs . (M^2 @ col_probs), each row summed in one pass and the rows
-    reduced with _dot, so the bits do not depend on the BLAS thread count.
+    The distribution weighs M itself (`SamplingDistribution._weighted_sq_sum`):
+    uniform and product ones through their marginals, with no d1 x d2
+    temporary, and the bits do not depend on the BLAS thread count.
 
     Every term is >= 0, NaN or inf, so a non-finite entry makes the sum
     non-finite.  Only then is M scanned for it, which raises ValidationError.
@@ -132,13 +131,7 @@ def pi_weighted_sq_norm(M, distribution) -> float:
         raise ValidationError(
             f"distribution shape {shape} does not match matrix shape {A.shape}"
         )
-    if distribution.kind == "uniform":
-        total = float(np.einsum("ij,ij->", A, A) / A.size)
-    elif distribution.kind == "product":
-        total = _dot(distribution.row_probs, np.einsum("ij,ij,j->i", A, A,
-                                                       distribution.col_probs))
-    else:
-        total = float(np.einsum("ij,ij,ij->", distribution.cell_probs, A, A))
+    total = distribution._weighted_sq_sum(A)
     if not np.isfinite(total):
         check_matrix(A)
     return total

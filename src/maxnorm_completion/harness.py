@@ -3,8 +3,9 @@
 A trial samples indices, observes a fixed ground truth under the noise
 model, fits the constrained estimator, and records the per-entry and
 sampling-weighted squared errors.  The errors are summed in row blocks of
-the fitted product, so a trial builds no d1 x d2 array besides the truth it
-is given: no completion, no error matrix.  Trial seeds derive deterministically
+the fitted product, each weighted by the sampling distribution itself, so a
+trial builds no d1 x d2 array besides the truth it is given: no completion,
+no error matrix, no weights.  Trial seeds derive deterministically
 from (base seed, grid position, replicate), so runs are reproducible and
 trials could execute concurrently; records are always emitted sorted by
 (n, replicate).  fit_scaling_slope regresses log median error on log n,
@@ -149,22 +150,21 @@ def _sq_errors(F: Factorization, M0: np.ndarray, distribution) -> tuple:
     Row blocks of at most SCORE_BLOCK_CELLS cells (one row if a row is longer)
     are multiplied out into one reused buffer, the truth subtracted in
     place, and squared and summed by einsum, whose order does not depend on
-    the BLAS thread count.  The weights of every distribution kind come
-    from its `_rows_into`, into a second reused buffer.
+    the BLAS thread count.  The distribution weighs each block itself
+    (`_weighted_sq_sum`), so a one-block grid scores as pi_weighted_sq_norm
+    of the dense error, bit for bit.
     """
     U, V = F.U, F.V
     d1, d2 = M0.shape
     step = max(1, SCORE_BLOCK_CELLS // d2)
     D = np.empty((min(step, d1), d2))
-    W = np.empty_like(D)
     sq = weighted = 0.0
     for r0 in range(0, d1, step):
         r1 = min(r0 + step, d1)
         blk = np.matmul(U[r0:r1], V.T, out=D[:r1 - r0])
         blk -= M0[r0:r1]
         sq += float(np.einsum("ij,ij->", blk, blk))
-        w = distribution._rows_into(r0, r1, W[:r1 - r0])
-        weighted += float(np.einsum("ij,ij,ij->", w, blk, blk))
+        weighted += distribution._weighted_sq_sum(blk, r0)
     return sq, weighted
 
 
@@ -271,20 +271,7 @@ def fit_scaling_slope(records) -> SlopeFit:
 
 # ---------------------------------------------------------------------------
 # Config file: flat "key = value" lines, "#" comments, dotted section
-# prefixes.  The keys are listed in parse_config_text.
-
-_REQUIRED_KEYS = ("truth.d1", "truth.d2", "truth.rank", "truth.alpha", "grid.n")
-
-_KNOWN_KEYS = {
-    "truth.d1", "truth.d2", "truth.rank", "truth.alpha", "truth.seed",
-    "sampling.kind", "sampling.row_marginals", "sampling.col_marginals",
-    "sampling.file",
-    "noise.kind", "noise.sigma",
-    "grid.n", "grid.replicates",
-    "constraints.alpha", "constraints.radius_rule",
-    "solver.k", "solver.tau", "solver.max_iters", "solver.tol",
-    "experiment.seed", "output.path",
-}
+# prefixes.  Each key's converter and default are in _CONFIG_KEYS.
 
 
 def _list_of(convert):
@@ -301,11 +288,38 @@ def _one_of(choices):
     return convert
 
 
+def _none_if(word, convert):
+    """A converter of `word` to None, and of any other text by `convert`."""
+    return lambda text: None if text == word else convert(text)
+
+
+_REQUIRED = object()  # the default of a key that must be set
+
+# key -> (converter of its text, default)
+_CONFIG_KEYS = {
+    "truth.d1": (int, _REQUIRED), "truth.d2": (int, _REQUIRED),
+    "truth.rank": (int, _REQUIRED), "truth.alpha": (float, _REQUIRED),
+    "truth.seed": (int, 0),
+    "sampling.kind": (_one_of(("uniform", "product", "file")), "uniform"),
+    "sampling.row_marginals": (_list_of(float), None),
+    "sampling.col_marginals": (_list_of(float), None),
+    "sampling.file": (str, None),
+    "noise.kind": (_one_of(NOISE_KINDS), "none"), "noise.sigma": (float, 0.0),
+    "grid.n": (_list_of(int), _REQUIRED), "grid.replicates": (int, 1),
+    "constraints.alpha": (_none_if("auto", float), None),
+    "constraints.radius_rule": (_none_if(RADIUS_RULE_SQRT_RANK, float), None),
+    "solver.k": (_none_if("auto", int), None), "solver.tau": (float, DEFAULT_TAU),
+    "solver.max_iters": (int, DEFAULT_MAX_ITERS), "solver.tol": (float, DEFAULT_TOL),
+    "experiment.seed": (int, 0), "output.path": (str, None),
+}
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse an experiment config.
 
     One "key = value" per line; "#" starts a comment.  An unknown or repeated
-    key is an error; lists are comma-separated.  Keys and defaults:
+    key is an error, and so is a value its key cannot take, reported with
+    its line; lists are comma-separated.  Keys and defaults:
 
       truth.d1, truth.d2, truth.rank, truth.alpha: required; truth.seed = 0
       sampling.kind = uniform | product | file; product reads the weight lists
@@ -319,7 +333,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
           solver.max_iters = 5000; solver.tol = 1e-7
       experiment.seed = 0; output.path: unset, else the records CSV is written there
     """
-    kv, line_of = {}, {}
+    cfg = {key: default for key, (_, default) in _CONFIG_KEYS.items()}
+    line_of = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -327,74 +342,44 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValidationError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _CONFIG_KEYS:
             raise ValidationError(f"config line {lineno}: unknown key {key!r}")
-        if key in kv:
+        if key in line_of:
             raise ValidationError(f"config line {lineno}: duplicate key {key!r}")
-        kv[key], line_of[key] = value, lineno
-    for key in _REQUIRED_KEYS:
-        if key not in kv:
-            raise ValidationError(f"config is missing required key {key!r}")
-
-    def get(key, convert, default=None, *, required_by=None):
-        """kv[key] passed through `convert`, or `default` if the key is unset.
-
-        An unset key that the set key `required_by` needs is an error naming
-        that key's line.
-        """
-        if key not in kv:
-            if required_by is not None:
-                raise ValidationError(f"config line {line_of[required_by]}: "
-                                      f"{required_by} = {kv[required_by]} requires {key!r}")
-            return default
+        line_of[key] = lineno
         try:
-            return convert(kv[key])
+            cfg[key] = _CONFIG_KEYS[key][0](value)
         except ValueError as exc:
             raise ValidationError(
-                f"config line {line_of[key]}: bad value for {key!r}: {exc}") from None
+                f"config line {lineno}: bad value for {key!r}: {exc}") from None
+    for key, value in cfg.items():
+        if value is _REQUIRED:
+            raise ValidationError(f"config is missing required key {key!r}")
 
-    d1 = get("truth.d1", int)
-    d2 = get("truth.d2", int)
-    rank = get("truth.rank", int)
-    alpha = get("truth.alpha", float)
-    truth_seed = get("truth.seed", int, 0)
-
-    kind = get("sampling.kind", _one_of(("uniform", "product", "file")), "uniform")
+    d1, d2, rank = cfg["truth.d1"], cfg["truth.d2"], cfg["truth.rank"]
+    kind = cfg["sampling.kind"]
     if kind == "file":
+        if cfg["sampling.file"] is None:
+            raise ValidationError(f"config line {line_of['sampling.kind']}: "
+                                  "sampling.kind = file requires 'sampling.file'")
         from .sampling import load_distribution
-        dist = load_distribution(get("sampling.file", str, required_by="sampling.kind"))
+        dist = load_distribution(cfg["sampling.file"])
     elif kind == "product":
-        dist = make_distribution("product", d1, d2,
-                                 row_marginals=get("sampling.row_marginals", _list_of(float)),
-                                 col_marginals=get("sampling.col_marginals", _list_of(float)))
+        dist = make_distribution("product", d1, d2, row_marginals=cfg["sampling.row_marginals"],
+                                 col_marginals=cfg["sampling.col_marginals"])
     else:
         dist = make_distribution("uniform", d1, d2)
 
-    noise = NoiseModel(kind=get("noise.kind", _one_of(NOISE_KINDS), "none"),
-                       sigma=get("noise.sigma", float, 0.0))
-
-    n_grid = tuple(get("grid.n", _list_of(int)))
-    replicates = get("grid.replicates", int, 1)
-
-    constraint_alpha = (None if kv.get("constraints.alpha", "auto") == "auto"
-                        else get("constraints.alpha", float))
-    rule_text = kv.get("constraints.radius_rule", RADIUS_RULE_SQRT_RANK)
-    radius = None if rule_text == RADIUS_RULE_SQRT_RANK else get("constraints.radius_rule", float)
-
-    k = rank + 1 if kv.get("solver.k", "auto") == "auto" else get("solver.k", int)
-    solver = SolverConfig(
-        k=k,
-        tau=get("solver.tau", float, DEFAULT_TAU),
-        max_iters=get("solver.max_iters", int, DEFAULT_MAX_ITERS),
-        tol=get("solver.tol", float, DEFAULT_TOL),
-    )
-
+    noise = NoiseModel(kind=cfg["noise.kind"], sigma=cfg["noise.sigma"])
+    k = rank + 1 if cfg["solver.k"] is None else cfg["solver.k"]
+    solver = SolverConfig(k=k, tau=cfg["solver.tau"], max_iters=cfg["solver.max_iters"],
+                          tol=cfg["solver.tol"])
     return ExperimentConfig(
-        d1=d1, d2=d2, rank=rank, alpha=alpha, truth_seed=truth_seed,
-        distribution=dist, noise=noise, n_grid=n_grid, replicates=replicates,
-        solver=solver, base_seed=get("experiment.seed", int, 0),
-        constraint_alpha=constraint_alpha, radius=radius,
-        output_path=kv.get("output.path"),
+        d1=d1, d2=d2, rank=rank, alpha=cfg["truth.alpha"], truth_seed=cfg["truth.seed"],
+        distribution=dist, noise=noise, n_grid=tuple(cfg["grid.n"]),
+        replicates=cfg["grid.replicates"], solver=solver,
+        base_seed=cfg["experiment.seed"], constraint_alpha=cfg["constraints.alpha"],
+        radius=cfg["constraints.radius_rule"], output_path=cfg["output.path"],
     )
 
 

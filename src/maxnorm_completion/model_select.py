@@ -6,9 +6,11 @@ column means, takes per-column DFT magnitude profiles of that initial fill,
 then for each candidate rank r solves the constrained completion with
 radius alpha0 * sqrt(r) and scores the completion by the Frobenius distance
 between its profile and the initial one.  The r minimizing that distance is
-returned (smallest r on ties).  The candidate fits take the observed cells
-as they are, with no sort, and run on them, or on the whole grid once at
-least a quarter of the cells are observed (see solver._fit_layout).
+returned (smallest r on ties).  The candidate fits run on the observed
+cells, or on the whole grid once at least a quarter of the cells are
+observed (see solver._fit_layout).  The solver finds by one comparison
+pass that a PartialMatrix's cells are distinct and in row-major order, and
+takes them with no sort.
 Besides the fill's profile, the search holds at most two completions at a
 time: the best so far and the candidate being scored.
 """
@@ -30,8 +32,6 @@ class PartialMatrix(ObservationSet):
     The cells are distinct and in row-major order; `from_observations`
     collapses repeated draws into this form.
     """
-
-    _distinct_row_major = True  # checked below: fits take the cells without sorting them
 
     def __post_init__(self):
         super().__post_init__()

@@ -26,7 +26,7 @@ from itertools import islice
 import numpy as np
 
 from . import _rng
-from .core import ValidationError, check_matrix, _frozen, _nonblank_lines, _parse_rows
+from .core import ValidationError, check_matrix, _dot, _frozen, _nonblank_lines, _parse_rows
 
 PROB_SUM_TOL = 1e-9
 
@@ -64,9 +64,12 @@ class SamplingDistribution:
     closed forms in the marginals for uniform and product.
 
     Zero cells are allowed here; `make_distribution` rejects them.
-    `sample_indices` draws a uniform distribution's rows and columns
-    directly, a product one's from `row_probs` and `col_probs`, and an
-    explicit one's cells from the CDF of `cell_probs`.
+    Nothing outside this module reads a distribution's kind or its
+    probabilities.  `sample_indices` draws a uniform distribution's rows and
+    columns directly, a product one's from `row_probs` and `col_probs`, and
+    an explicit one's cells from the CDF of `cell_probs`;
+    `_weighted_sq_sum` weighs squared errors by pi, for
+    `core.pi_weighted_sq_norm` and the trial scores.
     """
 
     d1: int
@@ -121,22 +124,32 @@ class SamplingDistribution:
 
         An explicit distribution returns its stored, read-only array.  A
         uniform or product one builds a new writable float64 d1 x d2 array
-        on every read: 8*d1*d2 bytes (128 MB at d1 = d2 = 4000).
+        on every read (`np.full`, or the outer product of its marginals):
+        8*d1*d2 bytes (128 MB at d1 = d2 = 4000).  Weighting by pi needs no
+        such array; see `_weighted_sq_sum`.
         """
-        if self.kind == "explicit":
-            return self.cell_probs
-        return self._rows_into(0, self.d1, np.empty((self.d1, self.d2)))
-
-    def _rows_into(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
-        """The cell probabilities of rows r0..r1-1, written into and returned
-        as `out`, a writable (r1 - r0, d2) float64 array."""
         if self.kind == "uniform":
-            out.fill(1.0 / (self.d1 * self.d2))
-        elif self.kind == "product":
-            np.multiply.outer(self.row_probs[r0:r1], self.col_probs, out=out)
-        else:
-            out[...] = self.cell_probs[r0:r1]
-        return out
+            return np.full((self.d1, self.d2), 1.0 / (self.d1 * self.d2))
+        if self.kind == "product":
+            return np.multiply.outer(self.row_probs, self.col_probs)
+        return self.cell_probs
+
+    def _weighted_sq_sum(self, D: np.ndarray, r0: int = 0) -> float:
+        """sum pi * D^2 over the grid rows r0 .. r0 + len(D) - 1, which the
+        float64 array D holds, with no temporary of D's size.
+
+        Uniform weights are sum(D^2) / (d1*d2), product ones
+        row_probs . (D^2 @ col_probs), each row summed in one pass and the
+        rows reduced with _dot, and explicit ones einsum with those rows of
+        `cell_probs`.  Every reduction is einsum's, in a fixed order, so the
+        bits do not depend on the BLAS thread count.
+        """
+        rows = slice(r0, r0 + D.shape[0])
+        if self.kind == "uniform":
+            return float(np.einsum("ij,ij->", D, D) / (self.d1 * self.d2))
+        if self.kind == "product":
+            return _dot(self.row_probs[rows], np.einsum("ij,ij,j->i", D, D, self.col_probs))
+        return float(np.einsum("ij,ij,ij->", self.cell_probs[rows], D, D))
 
     # Rounding a product of nonnegative floats is monotone, so for a product
     # distribution the smallest and largest cell probabilities below equal
@@ -204,10 +217,6 @@ class ObservationSet:
     indices: np.ndarray  # (n, 2) int64
     values: np.ndarray  # (n,) float64
 
-    # True on a subclass that checks its cells are distinct and in row-major
-    # order (model_select.PartialMatrix): the solver takes them as they are.
-    _distinct_row_major = False
-
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
         vals = np.asarray(self.values, dtype=np.float64)
@@ -267,20 +276,20 @@ def make_distribution(kind: str, d1: int, d2: int, *, row_marginals=None,
       "explicit" -- probs given directly (normalized).
 
     Any zero cell is rejected: a cell that can never be observed makes the
-    flatness parameter mu infinite.
+    flatness parameter mu infinite.  Explicit probabilities are only
+    divided by their total here; `SamplingDistribution` checks the quotient
+    (finite, of the grid's shape, nonnegative, summing to 1), which a
+    non-finite entry or an overflowing total leaves non-finite or all zero.
     """
     if kind == "explicit":
         if probs is None:
             raise ValidationError("explicit distribution requires probs")
-        p = check_matrix(probs, "probs")
-        if p.shape != (d1, d2):
-            raise ValidationError(f"probs shape {p.shape} does not match ({d1}, {d2})")
-        if (p < 0).any():
-            raise ValidationError("probabilities must be nonnegative")
-        total = p.sum()
-        if total <= 0:
-            raise ValidationError("probabilities must have positive total")
-        probs = p / total
+        p = np.asarray(probs, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = p.sum()
+            if total <= 0:
+                raise ValidationError("probabilities must have positive total")
+            probs = p / total
     dist = SamplingDistribution(d1=d1, d2=d2, kind=kind, row_marginals=row_marginals,
                                 col_marginals=col_marginals, cell_probs=probs)
     if dist._min_cell() <= 0:
@@ -327,8 +336,8 @@ def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
                   `Generator.choice(d1*d2, p=probs.ravel())` draw for draw,
                   then split into row and column by one divmod by d2.
     Uniform and product draws take O(n + d1 + d2) time and memory.  An
-    explicit draw also holds the d1*d2 CDF and its guide table, 16 to 24
-    bytes per cell beside the 8 its distribution already holds.
+    explicit draw also holds the d1*d2 CDF and its guide table, 16 bytes
+    per cell beside the 8 its distribution already holds.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -353,8 +362,7 @@ def _choice(p, u, out) -> None:
     It makes `Generator.choice`'s checks on p, takes the same CDF,
     `cumsum(p) / cdf[-1]`, and writes `cdf.searchsorted(u, side="right")`
     through a guide table (Chen & Asau 1974), DRAW_CHUNK draws at a time:
-    it sorts nothing, and holds the CDF and a table of at most
-    2 * p.size + 1 counts.
+    it sorts nothing, and holds the CDF and a table of p.size + 2 counts.
     """
     total = p.sum()
     if np.isnan(total):
@@ -372,13 +380,14 @@ def _choice(p, u, out) -> None:
 
 def _guide_table(cdf) -> np.ndarray:
     """The guide table of a normalized CDF, whose values lie in [0, 1] and
-    end at 1: B + 2 counts, with B a power of two at or above cdf.size.
+    end at 1: B + 2 counts, with B = cdf.size buckets.
 
-    The bucket of x is floor(x * B): monotone in x, since multiplying by a
-    power of two is exact and truncation is monotone, and at most B.
-    Entry b counts the cells whose CDF value has a bucket below b.
+    The bucket of x is floor(x * B): monotone in x, since rounding the
+    product and truncating it are both monotone, and at most B, since
+    x <= 1 and B is exact.  Entry b counts the cells whose CDF value has a
+    bucket below b.
     """
-    buckets = 1 << (cdf.size - 1).bit_length()
+    buckets = cdf.size
     lo = np.zeros(buckets + 2, dtype=np.intp)
     # The cells' buckets ascend with j, so each chunk counts its own range.
     for t in range(0, cdf.size, DRAW_CHUNK):

@@ -17,9 +17,11 @@ module constant GRID_CELLS_PER_OBSERVED = 4 (see _fit_layout):
 
 - d1 * d2 > 4 m, the cells: the observations collapse onto their m unique
   cells, kept in row-major order with a row's cells contiguous (see
-  _dedupe_observations).  A PGD iteration evaluates the loss at each trial
-  point, gathering every column of V at the cells once into a k x m array;
-  U's value at the cells is np.repeat of its observed rows, not a gather.
+  _dedupe_observations).  Draws that one comparison pass finds distinct
+  and in row-major order already are those cells, and are not sorted.  A
+  PGD iteration evaluates the loss at each trial point, gathering every
+  column of V at the cells once into a k x m array; U's value at the
+  cells is np.repeat of its observed rows, not a gather.
   The accepted trial's gathered columns, scaled in place by the gradient
   weights, give G @ V as per-row segment sums, and the repeated columns of
   U, binned by cell column, give G.T @ U.  Only that one k x m set is held:
@@ -185,17 +187,16 @@ def _dedupe_observations(obs: ObservationSet) -> _Cells:
       cell * n + draw, or, where d1 * d2 * n would overflow it, a stable
       sort by (row, column).  A bincount over each draw's cell number then
       sums the values in draw order.  It holds about three n-length arrays.
-      Draws whose class declares them distinct and in row-major order, as
-      a PartialMatrix's are, are already their cells: _distinct_cells
-      takes them in O(n), with the bits the sort would give.
+      Before the packed sort, one pass compares the flat cells: draws that
+      are already distinct and in row-major order, as a PartialMatrix's
+      are, are their own cells, and _distinct_cells takes them in O(n),
+      with the bits the sort would give.
     """
     grid = int(obs.d1) * int(obs.d2)
     # Overflows: the means' are reported here, ss_within's by fit_pgd.
     with np.errstate(over="ignore"):
         if grid <= obs.n:
             return _count_cells(obs, *_grid_arrays(obs, grid))
-        if obs._distinct_row_major:
-            return _distinct_cells(obs)
         return _sort_cells(obs, grid)
 
 
@@ -247,7 +248,8 @@ def _distinct_cells(obs: ObservationSet) -> _Cells:
 
 
 def _sort_cells(obs: ObservationSet, grid: int) -> _Cells:
-    """_dedupe_observations' cells from one sort of the draws, for grid > n."""
+    """_dedupe_observations' cells from one sort of the draws, for grid > n,
+    or from _distinct_cells when the flat cells already ascend strictly."""
     n = obs.n
     rows, cols = obs.indices.T
     new = np.empty(n, dtype=bool)  # new[s]: the draw at sorted position s starts a cell
@@ -255,6 +257,9 @@ def _sort_cells(obs: ObservationSet, grid: int) -> _Cells:
     if grid * n < 2 ** 63:
         key = rows * obs.d2
         key += cols
+        np.greater(key[1:], key[:-1], out=new[1:])
+        if new.all():
+            return _distinct_cells(obs)
         key *= n
         key += np.arange(n)
         key.sort()

@@ -19,6 +19,7 @@ from maxnorm_completion import (
     make_distribution,
     make_ground_truth,
     median_mse_by_n,
+    pi_weighted_sq_norm,
     read_records_csv,
     run_experiment,
 )
@@ -236,6 +237,31 @@ def test_blocked_scores_match_dense_reference(case, block_rows):
     assert abs(sq - float((delta * delta).sum())) <= slack * float((T * T).sum())
     assert (abs(weighted - float(np.einsum("ij,ij,ij->", dist.probs, delta, delta)))
             <= slack * float(np.einsum("ij,ij,ij->", dist.probs, T, T)))
+    if max(1, cells // d2) >= d1:  # one block: the distribution weighs it as a whole matrix
+        assert weighted.hex() == pi_weighted_sq_norm(delta, dist).hex()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "product", "explicit"])
+def test_scores_hold_one_block(kind):
+    # The distribution weighs each error block where it lies: no weight
+    # block beside it.
+    d, k = 2000, 6
+    rng = np.random.default_rng(4)
+    F = Factorization(U=rng.normal(size=(d, k)), V=rng.normal(size=(d, k)))
+    M0 = rng.normal(size=(d, d))
+    kw = {"uniform": {}, "product": dict(row_marginals=rng.uniform(0.5, 1, d),
+                                         col_marginals=rng.uniform(0.5, 1, d)),
+          "explicit": dict(probs=rng.uniform(0.5, 1, (d, d)))}[kind]
+    dist = make_distribution(kind, d, d, **kw)
+    block = (harness.SCORE_BLOCK_CELLS // d) * d * 8
+    tracemalloc.start()
+    try:
+        sq, weighted = harness._sq_errors(F, M0, dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(sq) and math.isfinite(weighted)
+    assert peak <= block + (1 << 19)
 
 
 def test_run_trial_builds_no_dense_array_beyond_the_truth():

@@ -138,6 +138,23 @@ def test_distribution_fields_follow_the_kind():
         make_distribution("uniform", 0, 3)
 
 
+def test_explicit_probabilities_need_a_positive_total():
+    # make_distribution only divides by the total; the other checks are the
+    # distribution's own.
+    for probs in (np.empty((0, 0)), [[-1.0, 0.5], [0.0, 0.0]]):
+        with pytest.raises(ValidationError, match="positive total"):
+            make_distribution("explicit", 2, 2, probs=probs)
+    with pytest.raises(ValidationError, match="must be nonnegative"):
+        make_distribution("explicit", 2, 2, probs=[[1.0, -0.5], [1.0, 1.0]])
+    with pytest.raises(ValidationError, match="non-finite"):
+        make_distribution("explicit", 2, 2, probs=[[np.inf, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValidationError, match="does not match"):
+        make_distribution("explicit", 2, 2, probs=np.ones((2, 3)))
+    # A total that overflows divides every entry to 0.
+    with pytest.raises(ValidationError, match="must sum to 1"):
+        make_distribution("explicit", 2, 2, probs=np.full((2, 2), 1e308))
+
+
 def test_explicit_zero_cell_rejected_when_positivity_required():
     probs = np.array([[0.5, 0.5], [0.0, 0.0]])
     with pytest.raises(ValidationError, match="zero cell"):
@@ -297,24 +314,25 @@ def test_sample_indices_holds_no_dense_cdf():
 
 
 def test_explicit_sample_indices_memory():
-    # An explicit draw holds its d1*d2 CDF and a guide table of 2**20 + 2
-    # counts here, beside the output, its uniforms and one chunk's temporaries.
-    d1 = d2 = 1000
+    # An explicit draw holds its d1*d2 CDF and a guide table of d1*d2 + 2
+    # counts, beside the output, its uniforms and one chunk's temporaries.
+    # 1025 x 1024 cells lie just past a power of two.
     n = 100_000
     rng = np.random.default_rng(6)
-    dist = make_distribution("explicit", d1, d2, probs=rng.uniform(0.5, 1.0, (d1, d2)))
-    tracemalloc.start()
-    try:
-        idx = sample_indices(dist, n, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * d1 * d2 + 48 * n + (1 << 20)
-    assert np.array_equal(idx, _choice_draws(dist, n, seed=3))
+    for d1, d2 in [(1000, 1000), (1025, 1024)]:
+        dist = make_distribution("explicit", d1, d2, probs=rng.uniform(0.5, 1.0, (d1, d2)))
+        tracemalloc.start()
+        try:
+            idx = sample_indices(dist, n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * d1 * d2 + 48 * n + (1 << 20), (d1, d2)
+        assert np.array_equal(idx, _choice_draws(dist, n, seed=3))
 
 
 class _CrowdedBucketGenerator(np.random.Generator):
-    """Uniforms in the first guide bucket of `_crowded_bucket` (u < 2**-14),
+    """Uniforms in the first guide bucket of `_crowded_bucket` (u < 1e-4),
     among and past its tiny cells, then two elsewhere."""
 
     def random(self, size=None, dtype=np.float64, out=None):

@@ -293,11 +293,33 @@ def _same_bits(a, b):
 @example(P=PartialMatrix(d1=1, d2=5, indices=[[0, 1], [0, 3], [0, 4]], values=[-0.0, 2.0, -3.5]))
 @example(P=PartialMatrix(d1=5, d2=1, indices=[[0, 0], [2, 0], [3, 0]], values=[1.5, -0.0, -0.0]))
 def test_partial_matrix_cells_equal_sorted_cells_bit_for_bit(P):
-    want = solver._sort_cells(P, P.d1 * P.d2)
-    assert all(_same_bits(a, b) for a, b in zip(solver._distinct_cells(P), want))
-    with patch.object(solver, "_sort_cells", wraps=solver._sort_cells) as sorted_:
-        solver._dedupe_observations(P)
-    assert sorted_.call_count == 0
+    # The reversed cells are out of order (but for a single cell), so the
+    # reference is sorted.
+    reversed_cells = ObservationSet(d1=P.d1, d2=P.d2, indices=P.indices[::-1],
+                                    values=P.values[::-1])
+    want = solver._sort_cells(reversed_cells, P.d1 * P.d2)
+    with patch.object(solver, "_distinct_cells", wraps=solver._distinct_cells) as distinct:
+        got = solver._dedupe_observations(P)
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
+    assert distinct.call_count == (P.d1 * P.d2 > P.n)
+
+
+def test_sorted_distinct_observations_are_taken_as_their_cells():
+    # Not only a PartialMatrix: any draws whose cells ascend strictly in
+    # row-major order are their own cells, with the bits of a sort.
+    d, m = 400, 50_000
+    rng = np.random.default_rng(2)
+    flat = np.sort(rng.choice(d * d, m, replace=False))
+    obs = ObservationSet(d1=d, d2=d, indices=np.column_stack(np.divmod(flat, d)),
+                         values=rng.normal(size=m))
+    order = rng.permutation(m)
+    shuffled = ObservationSet(d1=d, d2=d, indices=obs.indices[order], values=obs.values[order])
+    with patch.object(solver, "_distinct_cells", wraps=solver._distinct_cells) as distinct:
+        got = solver._dedupe_observations(obs)
+        distinct.assert_called_once()
+        want = solver._dedupe_observations(shuffled)
+        distinct.assert_called_once()
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
 
 
 def test_dedupe_on_a_grid_too_large_for_the_packed_key():
