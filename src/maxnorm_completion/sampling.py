@@ -35,8 +35,10 @@ LAPLACE_UNIT_SCALE = 1.0 / np.sqrt(2.0)
 
 NOISE_KINDS = ("gaussian", "laplace", "none")
 
-# Draws per chunk of the guide-table search in `_choice`, so that a chunk's
-# temporaries stay in cache.
+# Draws per chunk of the guide-table search in `_choice`, of `observe` and of
+# the solver's counted draws, so that a chunk's temporaries stay in cache.
+# It equals numpy's einsum buffer size, so the solver's per-chunk sums of
+# squares add up to the bits of one einsum over all draws.
 DRAW_CHUNK = 1 << 13
 
 # Vectorized scan steps per chunk before the draws left in crowded guide
@@ -56,7 +58,9 @@ class SamplingDistribution:
       "product"  -- `row_marginals` and `col_marginals` as given (validated,
                     not normalized), and `row_probs`, `col_probs`: the same
                     normalized once; cell (k, l) is row_probs[k] * col_probs[l];
-      "explicit" -- `cell_probs`, the d1 x d2 probabilities, summing to 1.
+      "explicit" -- `cell_probs`, the d1 x d2 probabilities, summing to 1:
+                    the array given when it is read-only and C-contiguous,
+                    else a read-only copy.
 
     mu >= 1 measures how far the smallest cell probability sits below
     uniform (mu = 1 / (d1*d2*min prob)); L >= 1 how far the largest sits
@@ -111,12 +115,16 @@ class SamplingDistribution:
                 raise ValidationError(
                     f"probs shape {probs.shape} does not match ({self.d1}, {self.d2})"
                 )
-            if (probs < 0).any():
+            if probs.min() < 0:
                 raise ValidationError("probabilities must be nonnegative")
             total = probs.sum()
             if abs(total - 1.0) > PROB_SUM_TOL:
                 raise ValidationError(f"probabilities must sum to 1, got {total!r}")
-            object.__setattr__(self, "cell_probs", _frozen(probs))
+            # A read-only C-contiguous array, as make_distribution's quotient
+            # is, is held as it is: a copy would double the d1 x d2 bytes.
+            if probs.flags.writeable or not probs.flags.c_contiguous:
+                probs = _frozen(probs)
+            object.__setattr__(self, "cell_probs", probs)
 
     @property
     def probs(self) -> np.ndarray:
@@ -277,7 +285,8 @@ def make_distribution(kind: str, d1: int, d2: int, *, row_marginals=None,
 
     Any zero cell is rejected: a cell that can never be observed makes the
     flatness parameter mu infinite.  Explicit probabilities are only
-    divided by their total here; `SamplingDistribution` checks the quotient
+    divided by their total here, into one read-only array that the
+    distribution holds without a copy; `SamplingDistribution` checks the quotient
     (finite, of the grid's shape, nonnegative, summing to 1), which a
     non-finite entry or an overflowing total leaves non-finite or all zero.
     """
@@ -289,7 +298,8 @@ def make_distribution(kind: str, d1: int, d2: int, *, row_marginals=None,
             total = p.sum()
             if total <= 0:
                 raise ValidationError("probabilities must have positive total")
-            probs = p / total
+            probs = np.divide(p, total, out=np.empty(p.shape))  # an array even when 0-d
+        probs.flags.writeable = False
     dist = SamplingDistribution(d1=d1, d2=d2, kind=kind, row_marginals=row_marginals,
                                 col_marginals=col_marginals, cell_probs=probs)
     if dist._min_cell() <= 0:

@@ -30,7 +30,9 @@ module constant GRID_CELLS_PER_OBSERVED = 4 (see _fit_layout):
   d1 x d2 array.
 - d1 * d2 <= 4 m, the grid: the draw counts and the cell means (0 where no
   draw fell) are d1 x d2 arrays, and every trial fills two more allocated
-  once per fit, P = U @ V.T - means and G = counts * P.  The gradient
+  once per fit, P = U @ V.T - means and G = counts * P.  When d1 * d2 <= n
+  the draws are streamed onto the grid sampling.DRAW_CHUNK at a time (see
+  _grid_arrays), so building it holds no n-length array.  The gradient
   products are G @ V and G.T @ U.  All three products are einsum calls,
   which sum in a fixed order, so the bits do not depend on the BLAS thread
   count.  An iteration takes O(d1 d2 k) time and holds those four d1 x d2
@@ -54,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _rng
+from . import _rng, sampling
 from .core import ConstraintSet, Factorization, ValidationError, _dot, check_matrix
 from .sampling import ObservationSet
 
@@ -178,11 +180,12 @@ def _dedupe_observations(obs: ObservationSet) -> _Cells:
     ss_within sums the deviations in draw order, whichever way the cells
     are found:
 
-    - when the grid has at most n cells, by counting: _grid_arrays' two
-      bincounts of the flat cell index row * d2 + col give every cell's
-      count and mean, the arrays a grid fit keeps as they are.  The
+    - when the grid has at most n cells, by counting: _grid_arrays streams
+      the draws' flat cell indices row * d2 + col and accumulates every
+      cell's count and mean, the arrays a grid fit keeps as they are.  The
       observed cells are the nonzero counts, already in row-major order.
-      It holds two n-length and two grid-length arrays.
+      It holds two grid-length arrays and two buffers of DRAW_CHUNK draws,
+      no n-length array.
     - otherwise by sorting: an in-place sort of the packed int64 key
       cell * n + draw, or, where d1 * d2 * n would overflow it, a stable
       sort by (row, column).  A bincount over each draw's cell number then
@@ -212,7 +215,7 @@ def _cells(obs: ObservationSet, cell_rows, cols, counts, means, ss_within) -> _C
 def _count_cells(obs: ObservationSet, counts, means, ss_within) -> _Cells:
     """_dedupe_observations' cells from _grid_arrays, compacted to the observed cells."""
     cols = np.flatnonzero(counts)
-    counts = counts[cols].astype(np.float64)
+    counts = counts[cols]
     means = means[cols]
     cell_rows = np.empty_like(cols)
     np.divmod(cols, obs.d2, out=(cell_rows, cols))
@@ -220,20 +223,32 @@ def _count_cells(obs: ObservationSet, counts, means, ss_within) -> _Cells:
 
 
 def _grid_arrays(obs: ObservationSet, grid: int):
-    """Every cell's draw count (int64) and mean value (0 where no draw fell),
-    as two flat grid-length arrays in row-major order, and ss_within.
+    """Every cell's draw count and mean value (0 where no draw fell), as two
+    flat float64 grid-length arrays in row-major order, and ss_within.
 
-    Two bincounts over each draw's flat cell index row * d2 + col give the
-    counts and the sums.  It holds two n-length arrays (the flat cells and
-    the deviations) beyond the two grid-length ones it returns.
+    The draws are streamed sampling.DRAW_CHUNK at a time: each chunk's flat
+    cell indices row * d2 + col go into one reused buffer, and np.add.at
+    adds the chunk into the counts and the sums, in draw order from 0.0 as
+    np.bincount does.  Beside the two grid-length arrays it returns, it
+    holds that buffer and _within_cell_ss' deviation buffer, no n-length
+    array.
     """
-    key = obs.indices[:, 0] * obs.d2
-    key += obs.indices[:, 1]
-    counts = np.bincount(key, minlength=grid)
-    means = np.bincount(key, weights=obs.values, minlength=grid)
+    counts, means = np.zeros(grid), np.zeros(grid)
+    key = np.empty(min(sampling.DRAW_CHUNK, obs.n), dtype=np.int64)
+
+    def cells_at(s):
+        k = key[:s.stop - s.start]
+        np.multiply(obs.indices[s, 0], obs.d2, out=k)
+        k += obs.indices[s, 1]
+        return k
+
+    for s in _draw_slices(obs.n):
+        k = cells_at(s)
+        np.add.at(counts, k, 1.0)
+        np.add.at(means, k, obs.values[s])
     np.divide(means, counts, out=means, where=counts > 0)
     _check_means(means)
-    return counts, means, _within_cell_ss(obs.values, means, key)
+    return counts, means, _within_cell_ss(obs.values, means, cells_at)
 
 
 def _distinct_cells(obs: ObservationSet) -> _Cells:
@@ -300,7 +315,7 @@ def _sort_cells(obs: ObservationSet, grid: int) -> _Cells:
     means /= counts
     _check_means(means)
     return _cells(obs, cell_rows, cell_cols, counts, means,
-                  _within_cell_ss(obs.values, means, inverse))
+                  _within_cell_ss(obs.values, means, inverse.__getitem__))
 
 
 def _check_means(means):
@@ -309,11 +324,31 @@ def _check_means(means):
                               "the observed values are too large in magnitude")
 
 
-def _within_cell_ss(values, means, cell):
-    """sum_t (values[t] - means[cell[t]])^2, reduced in draw order."""
-    dev = means[cell]
-    np.subtract(values, dev, out=dev)
-    return _dot(dev, dev)
+def _draw_slices(n: int):
+    """Slices of sampling.DRAW_CHUNK draws, in order, covering draws 0 .. n - 1."""
+    step = sampling.DRAW_CHUNK
+    return (slice(t, min(t + step, n)) for t in range(0, n, step))
+
+
+def _within_cell_ss(values, means, cells_at):
+    """sum_t (values[t] - means[cell of t])^2, where cells_at(s) gives the
+    cells of the draws in the slice s.
+
+    The deviations are taken a chunk of draws at a time in one reused
+    buffer; each chunk is reduced by _dot and the chunks are summed in draw
+    order.  einsum reduces a long vector in blocks of its buffer size, 8192
+    elements, so at DRAW_CHUNK = 8192 these are the bits of one _dot over
+    all n deviations.
+    """
+    buf = np.empty(min(sampling.DRAW_CHUNK, values.size))
+    ss = 0.0
+    for s in _draw_slices(values.size):
+        # "clip" writes straight into the buffer, where "raise" would stage
+        # the gather in a temporary; every cell is in range.
+        dev = np.take(means, cells_at(s), out=buf[:s.stop - s.start], mode="clip")
+        np.subtract(values[s], dev, out=dev)
+        ss += _dot(dev, dev)
+    return ss
 
 
 def _cell_loss(cells: _Cells, U, V):
@@ -383,14 +418,15 @@ def _fit_layout(obs: ObservationSet):
     they are, or are compacted to the cells; the sorted cells go to the
     cell kernels as they are, or are scattered onto the grid.  Both give
     the same bits for every cell mean and for ss_within, so a grid fit's
-    bits do not depend on which built its grid.
+    bits do not depend on which built its grid.  Counted, the layout holds
+    no n-length array: the grid's four d1 x d2 arrays and two buffers of
+    DRAW_CHUNK draws.
     """
     grid = int(obs.d1) * int(obs.d2)
     if grid <= obs.n:
         counts, means, ss_within = _grid_arrays(obs, grid)
         if grid > GRID_CELLS_PER_OBSERVED * np.count_nonzero(counts):
             return _count_cells(obs, counts, means, ss_within), _cell_loss, _cell_grad_products
-        counts = counts.astype(np.float64)
     else:
         cells = _dedupe_observations(obs)
         if grid > GRID_CELLS_PER_OBSERVED * cells.cols.size:
@@ -565,7 +601,9 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
     d1 * d2 > GRID_CELLS_PER_OBSERVED * m, the cells: an iteration takes
     O((m + d1 + d2) k) time and holds one k x m set of gathered columns.
     Otherwise the grid: an iteration takes O(d1 d2 k) time and holds four
-    d1 x d2 arrays, at most 128 m bytes.
+    d1 x d2 arrays, at most 128 m bytes.  Beside the draws, a fit holds no
+    n-length array when d1 * d2 <= n: the draws are counted onto the grid
+    through two buffers of sampling.DRAW_CHUNK draws.
 
     Raises ValidationError when the loss at the start is not finite, as when
     the observed values are so large that their squares overflow.

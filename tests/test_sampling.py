@@ -125,6 +125,27 @@ def test_make_distribution_stores_no_dense_array(kind):
     assert dist.probs.shape == (d, d) and dist.probs.flags.writeable  # built on each read
 
 
+def test_explicit_distribution_holds_one_array_of_the_grid_size():
+    d = 1000
+    probs = np.random.default_rng(5).uniform(0.5, 1.5, (d, d))
+    tracemalloc.start()
+    try:
+        dist = make_distribution("explicit", d, d, probs=probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= dist.cell_probs.nbytes + (1 << 20)
+    assert not dist.cell_probs.flags.writeable
+    assert np.array_equal(dist.cell_probs, probs / probs.sum())
+    # An array given directly is copied unless it is read-only already.
+    given = probs / probs.sum()
+    assert SamplingDistribution(d1=d, d2=d, kind="explicit", cell_probs=given).cell_probs \
+        is not given
+    given.flags.writeable = False
+    assert SamplingDistribution(d1=d, d2=d, kind="explicit", cell_probs=given).cell_probs \
+        is given
+
+
 def test_distribution_fields_follow_the_kind():
     with pytest.raises(ValidationError, match="unknown distribution kind"):
         SamplingDistribution(d1=2, d2=2, kind="triangular")

@@ -17,6 +17,7 @@ from maxnorm_completion import (
     SolverConfig,
     core,
     fit_pgd,
+    sampling,
     solver,
 )
 from maxnorm_completion.model_select import PartialMatrix
@@ -202,11 +203,12 @@ def test_dedupe_matches_per_cell_reference(seed, d1, d2, n, pool):
     assert cells.n == obs.n
 
 
-def _draw_order_reference(obs):
+def _draw_order_reference(obs, chunk):
     """Sorted cells, their counts and means, and ss_within, one draw at a time.
 
     Each cell's sum adds its values in draw order, starting from 0.0, and
-    ss_within reduces the deviations in draw order with the solver's reduction.
+    ss_within reduces each `chunk` of deviations with the solver's reduction
+    and adds the chunks in draw order.  The deviations are returned too.
     """
     sums, counts = {}, {}
     draws = list(zip(map(tuple, obs.indices.tolist()), obs.values.tolist()))
@@ -215,8 +217,11 @@ def _draw_order_reference(obs):
         counts[cell] = counts.get(cell, 0) + 1
     means = {cell: sums[cell] / counts[cell] for cell in sums}
     dev = np.array([y - means[cell] for cell, y in draws])
+    ss = 0.0
+    for t in range(0, dev.size, chunk):
+        ss += core._dot(dev[t:t + chunk], dev[t:t + chunk])
     cells = sorted(sums)
-    return cells, [counts[c] for c in cells], [means[c] for c in cells], core._dot(dev, dev)
+    return cells, [counts[c] for c in cells], [means[c] for c in cells], ss, dev
 
 
 @st.composite
@@ -253,12 +258,35 @@ _BELOW_THE_SWITCH, _AT_THE_SWITCH = (ObservationSet(
 @example(obs=_BELOW_THE_SWITCH)
 @example(obs=_AT_THE_SWITCH)
 def test_dedupe_equals_draw_order_reference_bit_for_bit(obs):
-    cells_ref, counts_ref, means_ref, ss_ref = _draw_order_reference(obs)
+    # Chunks of 4 draws: both the counted and the sorted draws cross chunk boundaries.
+    chunk = 4
+    cells_ref, counts_ref, means_ref, ss_ref, _ = _draw_order_reference(obs, chunk)
     with patch.object(solver, "_count_cells", wraps=solver._count_cells) as counted, \
-            patch.object(solver, "_sort_cells", wraps=solver._sort_cells) as sorted_:
+            patch.object(solver, "_sort_cells", wraps=solver._sort_cells) as sorted_, \
+            patch.object(sampling, "DRAW_CHUNK", chunk):
         cells = solver._dedupe_observations(obs)
     assert counted.call_count == (obs.d1 * obs.d2 <= obs.n)
     assert sorted_.call_count == (obs.d1 * obs.d2 > obs.n)
+    _assert_equals_reference(cells, obs, cells_ref, counts_ref, means_ref, ss_ref)
+
+
+def test_counted_dedupe_over_default_chunks_equals_draw_order_reference():
+    # Three whole chunks and part of a fourth, counted: 3600 cells <= n.
+    n = 3 * sampling.DRAW_CHUNK + 5
+    rng = np.random.default_rng(8)
+    obs = ObservationSet(d1=60, d2=60, values=rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, n),
+                         indices=np.column_stack([rng.integers(0, 60, n), rng.integers(0, 60, n)]))
+    cells_ref, counts_ref, means_ref, ss_ref, dev = _draw_order_reference(obs,
+                                                                          sampling.DRAW_CHUNK)
+    with patch.object(solver, "_count_cells", wraps=solver._count_cells) as counted:
+        cells = solver._dedupe_observations(obs)
+    counted.assert_called_once()
+    _assert_equals_reference(cells, obs, cells_ref, counts_ref, means_ref, ss_ref)
+    # One reduction over every deviation has the bits of the chunked one.
+    assert cells.ss_within.hex() == core._dot(dev, dev).hex()
+
+
+def _assert_equals_reference(cells, obs, cells_ref, counts_ref, means_ref, ss_ref):
     rows = np.repeat(cells.row_ids, cells.row_counts)
     assert list(zip(rows.tolist(), cells.cols.tolist())) == cells_ref
     assert cells.counts.tolist() == counts_ref
@@ -339,7 +367,7 @@ def test_dedupe_on_a_grid_too_large_for_the_packed_key():
 
 def test_counted_dedupe_holds_no_more_than_its_input():
     # n = 4 d1 d2: sorting these draws holds about 1.33x the input's bytes;
-    # counting holds two n-length arrays and two grid-length ones, about 0.83x.
+    # counting holds two grid-length arrays and two chunk buffers, about 0.1x.
     d1, d2 = 200, 150
     n = 4 * d1 * d2
     rng = np.random.default_rng(1)
@@ -353,6 +381,23 @@ def test_counted_dedupe_holds_no_more_than_its_input():
         tracemalloc.stop()
     assert cells.counts.sum() == n
     assert peak <= 1.2 * (obs.indices.nbytes + obs.values.nbytes)
+
+
+def test_counted_fit_layout_holds_no_draw_length_array():
+    # 40 draws per cell: the grid layout, from counted draws.  It holds its
+    # four d1 x d2 arrays and two chunk buffers, 128 kB.
+    d1, d2, n = 100, 100, 400_000
+    rng = np.random.default_rng(4)
+    obs = ObservationSet(d1=d1, d2=d2, values=rng.normal(size=n),
+                         indices=np.column_stack([rng.integers(0, d1, n), rng.integers(0, d2, n)]))
+    tracemalloc.start()
+    try:
+        draws, _, _ = solver._fit_layout(obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(draws, solver._Grid) and draws.counts.sum() == n
+    assert peak <= 4 * 8 * d1 * d2 + (1 << 20)
 
 
 def _dyadic(rng, shape):
