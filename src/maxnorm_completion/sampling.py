@@ -35,8 +35,9 @@ LAPLACE_UNIT_SCALE = 1.0 / np.sqrt(2.0)
 
 NOISE_KINDS = ("gaussian", "laplace", "none")
 
-# Draws per chunk of the guide-table search in `_choice`, of `observe` and of
-# the solver's counted draws, so that a chunk's temporaries stay in cache.
+# Draws per chunk of `_choice`'s uniforms and guide-table search, of
+# `observe` and of the solver's counted draws, and cells per block of the
+# solver's cell kernels, so that a chunk's temporaries stay in cache.
 # It equals numpy's einsum buffer size, so the solver's per-chunk sums of
 # squares add up to the bits of one einsum over all draws.
 DRAW_CHUNK = 1 << 13
@@ -357,22 +358,25 @@ def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
         out[:, 0] = rng.integers(0, dist.d1, size=n)
         out[:, 1] = rng.integers(0, dist.d2, size=n)
     elif dist.kind == "product":
-        _choice(dist.row_probs, rng.random(n), out[:, 0])
-        _choice(dist.col_probs, rng.random(n), out[:, 1])
+        _choice(rng, dist.row_probs, out[:, 0])
+        _choice(rng, dist.col_probs, out[:, 1])
     else:
-        _choice(dist.cell_probs.ravel(), rng.random(n), out[:, 0])
+        _choice(rng, dist.cell_probs.ravel(), out[:, 0])
         np.divmod(out[:, 0], dist.d2, out=(out[:, 0], out[:, 1]))
     return out
 
 
-def _choice(p, u, out) -> None:
-    """Write into `out` the indices that `Generator.choice(p.size, p=p)`
-    draws from the uniforms u.
+def _choice(rng, p, out) -> None:
+    """Write into `out` the out.size indices that
+    `rng.choice(p.size, size=out.size, p=p)` draws.
 
     It makes `Generator.choice`'s checks on p, takes the same CDF,
     `cumsum(p) / cdf[-1]`, and writes `cdf.searchsorted(u, side="right")`
-    through a guide table (Chen & Asau 1974), DRAW_CHUNK draws at a time:
-    it sorts nothing, and holds the CDF and a table of p.size + 2 counts.
+    for the uniforms u through a guide table (Chen & Asau 1974).  The
+    uniforms are drawn DRAW_CHUNK at a time: `Generator.random` gives the
+    same doubles in chunks as in one call.  It sorts nothing, and holds the
+    CDF, a table of p.size + 2 counts and one chunk's uniforms, no
+    out.size-length array beside `out`.
     """
     total = p.sum()
     if np.isnan(total):
@@ -384,8 +388,9 @@ def _choice(p, u, out) -> None:
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
     lo = _guide_table(cdf)
-    for t in range(0, u.size, DRAW_CHUNK):
-        out[t:t + DRAW_CHUNK] = _guide_search(cdf, lo, u[t:t + DRAW_CHUNK])
+    for t in range(0, out.size, DRAW_CHUNK):
+        chunk = out[t:t + DRAW_CHUNK]
+        chunk[:] = _guide_search(cdf, lo, rng.random(chunk.size))
 
 
 def _guide_table(cdf) -> np.ndarray:

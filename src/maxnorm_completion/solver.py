@@ -19,15 +19,17 @@ module constant GRID_CELLS_PER_OBSERVED = 4 (see _fit_layout):
   cells, kept in row-major order with a row's cells contiguous (see
   _dedupe_observations).  Draws that one comparison pass finds distinct
   and in row-major order already are those cells, and are not sorted.  A
-  PGD iteration evaluates the loss at each trial point, gathering every
-  column of V at the cells once into a k x m array; U's value at the
-  cells is np.repeat of its observed rows, not a gather.
-  The accepted trial's gathered columns, scaled in place by the gradient
-  weights, give G @ V as per-row segment sums, and the repeated columns of
-  U, binned by cell column, give G.T @ U.  Only that one k x m set is held:
-  a rejected trial's set is dropped before the next trial.  An iteration's
-  time and memory are O((m + d1 + d2) k), and the kernels build no
-  d1 x d2 array.
+  PGD iteration evaluates the loss at each trial point in one pass over
+  blocks of at most sampling.DRAW_CHUNK cells that end at row boundaries,
+  cut once per fit (see _cell_blocks).  Each block gathers V's columns at
+  its cells into one k x b buffer that every block reuses; U's value at
+  the cells is np.repeat of its observed rows, not a gather.  The same
+  pass scales the gathered columns by the gradient weights and sums each
+  row's segment into G @ V, so every trial, accepted or not, computes
+  G @ V.  The accepted trial's weights and U's repeated columns, binned by
+  cell column, give G.T @ U.  An iteration takes O((m + d1 + d2) k) time
+  and holds O(m + (d1 + d2) k) memory plus one block: the kernels build no
+  k x m and no d1 x d2 array.
 - d1 * d2 <= 4 m, the grid: the draw counts and the cell means (0 where no
   draw fell) are d1 x d2 arrays, and every trial fills two more allocated
   once per fit, P = U @ V.T - means and G = counts * P.  When d1 * d2 <= n
@@ -72,10 +74,10 @@ FEASIBILITY_SLACK = 1e-9
 LINF_BLOCK_CELLS = 1 << 20
 
 # fit_pgd runs the grid kernels when d1 * d2 <= GRID_CELLS_PER_OBSERVED * m,
-# for m observed cells, and the cell kernels otherwise.  Timed per iteration
-# on one core at d = 200, 400 and 1000, the grid kernels win above an
-# observed-cell density m / (d1 d2) of about 0.2-0.3 at k = 3, 0.2 at k = 7
-# and 0.1-0.15 at k = 32.
+# for m observed cells, and the cell kernels otherwise.  Timing each layout's
+# loss and gradient products on one core at d = 400 and 1000, the grid
+# kernels win above an observed-cell density m / (d1 d2) of about 0.25-0.4
+# at k = 3, 0.2-0.3 at k = 7 and 0.15-0.25 at k = 32.
 GRID_CELLS_PER_OBSERVED = 4
 
 
@@ -166,6 +168,7 @@ class _Cells(NamedTuple):
     ss_within: float  # sum over all draws of (y_t - mean of its cell)^2
     n: int  # total draws
     d2: int  # columns of the grid
+    blocks: tuple = ()  # the cell kernels' blocks, set by _fit_layout (see _cell_blocks)
 
 
 def _dedupe_observations(obs: ObservationSet) -> _Cells:
@@ -351,47 +354,76 @@ def _within_cell_ss(values, means, cells_at):
     return ss
 
 
+def _cell_blocks(cells: _Cells) -> tuple:
+    """The cells cut into blocks of at most sampling.DRAW_CHUNK cells that
+    end at row boundaries, as (first row, end row, first cell, end cell)
+    per block, rows indexing cells.row_ids.  A row longer than a block is a
+    block of its own."""
+    ends = np.append(cells.row_starts, cells.cols.size)
+    blocks, lo = [], 0
+    while lo < cells.row_starts.size:
+        hi = int(ends.searchsorted(ends[lo] + sampling.DRAW_CHUNK, side="right")) - 1
+        hi = max(hi, lo + 1)
+        blocks.append((lo, hi, int(ends[lo]), int(ends[hi])))
+        lo = hi
+    return tuple(blocks)
+
+
 def _cell_loss(cells: _Cells, U, V):
     """Empirical loss, the gradient weights w = (2/n) * count * r at each cell,
-    and V's columns gathered at the cells.
+    and G @ V for the gradient G equal to w at the cells, 0 elsewhere.
 
-    The gathered columns are a k x m array, the one O(m k) set an iteration
-    holds; _cell_grad_products takes it for the accepted point, so each
-    column of V is gathered once per iteration.  U's side is repeated per
-    row, not gathered, and the residual sums the factor columns in order.
+    One pass over the cells' blocks (see _cell_blocks).  Each block gathers
+    V's columns at its cells into one k x b buffer reused by every block,
+    repeats U's rows, and writes its residuals r and count * r into two
+    m-arrays; the gathered columns, scaled by the block's weights, give its
+    rows of G @ V as segment sums.  No k x m array exists: a call holds
+    O(m + d k) plus one block.  The loss is one sum over the m-arrays, and
+    each row's sum lies in one block, so the bits are those of one pass
+    over all the cells.
     """
-    Vc = np.take(V.T, cells.cols, axis=1)
-    Ur = U[cells.row_ids].T
-    r = _repeat_times(Ur[0], cells, Vc[0])
-    r -= cells.means  # p_0 - mean: the same bits as -mean + p_0
-    for u, v in zip(Ur[1:], Vc[1:]):
-        r += _repeat_times(u, cells, v)
-    cr = cells.counts * r
+    m, k = cells.cols.size, U.shape[1]
+    size = max(c1 - c0 for _, _, c0, c1 in cells.blocks)
+    buf, wb = np.empty(k * size), np.empty(size)
+    # take would copy a strided V.T to contiguous at every block.
+    Ur, Vt = U[cells.row_ids].T, np.ascontiguousarray(V.T)
+    r, cr = np.empty(m), np.empty(m)
+    GVt = np.empty((k, cells.row_ids.size))  # G @ V at the observed rows, transposed
+    scale = 2.0 / cells.n
+    for lo, hi, c0, c1 in cells.blocks:
+        b, row_counts = c1 - c0, cells.row_counts[lo:hi]
+        # "clip" writes straight into the buffer; every column is in range.
+        Vb = np.take(Vt, cells.cols[c0:c1], axis=1, out=buf[:k * b].reshape(k, b), mode="clip")
+        rb = np.multiply(np.repeat(Ur[0, lo:hi], row_counts), Vb[0], out=r[c0:c1])
+        rb -= cells.means[c0:c1]  # p_0 - mean: the same bits as -mean + p_0
+        for u, v in zip(Ur[1:, lo:hi], Vb[1:]):
+            rb += _repeat_times(u, row_counts, v)
+        crb = np.multiply(cells.counts[c0:c1], rb, out=cr[c0:c1])
+        Vb *= np.multiply(crb, scale, out=wb[:b])
+        np.add.reduceat(Vb, cells.row_starts[lo:hi] - c0, axis=1, out=GVt[:, lo:hi])
     loss = (_dot(cr, r) + cells.ss_within) / cells.n
-    cr *= 2.0 / cells.n
-    return loss, cr, Vc
+    cr *= scale
+    GV = np.zeros_like(U)
+    GV[cells.row_ids] = GVt.T
+    return loss, cr, GV
 
 
-def _cell_grad_products(cells: _Cells, w, U, Vc):
+def _cell_grad_products(cells: _Cells, w, U, GV):
     """G @ V and G.T @ U for the gradient G equal to w at the cells, 0 elsewhere.
 
-    Vc holds V's columns at the cells, as _cell_loss returns them; they are
-    overwritten with w * Vc.  G @ V sums each observed row's contiguous
-    segment of cells; rows with no cell stay 0.  G.T @ U bins U's repeated
-    columns over the unsorted cell columns, which is cheaper than sorting the
-    cells by column once more per fit.
+    G @ V comes from _cell_loss as it is.  G.T @ U bins U's repeated columns
+    over the unsorted cell columns, one bincount per column over all the
+    cells, which is cheaper than sorting the cells by column once more per
+    fit.
     """
-    GV = np.zeros_like(U)
-    Vc *= w
-    GV[cells.row_ids] = np.add.reduceat(Vc, cells.row_starts, axis=1).T
-    GtU = np.column_stack([np.bincount(cells.cols, weights=_repeat_times(u, cells, w),
+    GtU = np.column_stack([np.bincount(cells.cols, weights=_repeat_times(u, cells.row_counts, w),
                                        minlength=cells.d2) for u in U[cells.row_ids].T])
     return GV, GtU
 
 
-def _repeat_times(u, cells: _Cells, x):
-    """x times u's entry for each cell's row: one fresh m-array, multiplied in place."""
-    p = np.repeat(u, cells.row_counts)
+def _repeat_times(u, row_counts, x):
+    """x times u's entry for each cell's row: one fresh array, multiplied in place."""
+    p = np.repeat(u, row_counts)
     p *= x
     return p
 
@@ -411,7 +443,7 @@ def _fit_layout(obs: ObservationSet):
     """The draws in the layout fit_pgd iterates on, with that layout's loss
     and gradient-product kernels: the grid (_Grid) when
     d1 * d2 <= GRID_CELLS_PER_OBSERVED * m for m observed cells, else the
-    cells (_Cells).
+    cells (_Cells), with the cell kernels' blocks cut once here.
 
     The draws are counted when d1 * d2 <= n and sorted otherwise, as
     _dedupe_observations does.  The counted grid arrays go to the grid as
@@ -426,17 +458,22 @@ def _fit_layout(obs: ObservationSet):
     if grid <= obs.n:
         counts, means, ss_within = _grid_arrays(obs, grid)
         if grid > GRID_CELLS_PER_OBSERVED * np.count_nonzero(counts):
-            return _count_cells(obs, counts, means, ss_within), _cell_loss, _cell_grad_products
+            return _blocked(_count_cells(obs, counts, means, ss_within))
     else:
         cells = _dedupe_observations(obs)
         if grid > GRID_CELLS_PER_OBSERVED * cells.cols.size:
-            return cells, _cell_loss, _cell_grad_products
+            return _blocked(cells)
         (counts, means), ss_within = _scatter(cells, grid), cells.ss_within
         del cells
     shape = (obs.d1, obs.d2)
     return (_Grid(counts=counts.reshape(shape), means=means.reshape(shape), ss_within=ss_within,
                   n=obs.n, P=np.empty(shape), G=np.empty(shape)),
             _grid_loss, _grid_grad_products)
+
+
+def _blocked(cells: _Cells):
+    """The cells with their blocks, and the cell kernels."""
+    return cells._replace(blocks=_cell_blocks(cells)), _cell_loss, _cell_grad_products
 
 
 def _scatter(cells: _Cells, grid: int):
@@ -594,12 +631,14 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
     factors.  The step is halved (at most MAX_HALVINGS times) whenever the
     objective would increase or turn non-finite; if no step helps, the
     iterate is kept and the solve stops.  The accepted trial's gradient
-    weights and its columns of V give the next gradient products.
+    weights and its part of the products (G @ V on the cells, V.T on the
+    grid) give the next gradient products.
 
     The layout is chosen once, by the density of the m distinct observed
     cells (see the module docstring and _fit_layout).  When
     d1 * d2 > GRID_CELLS_PER_OBSERVED * m, the cells: an iteration takes
-    O((m + d1 + d2) k) time and holds one k x m set of gathered columns.
+    O((m + d1 + d2) k) time and holds O(m + (d1 + d2) k) memory plus one
+    block of V's columns gathered at up to sampling.DRAW_CHUNK cells.
     Otherwise the grid: an iteration takes O(d1 d2 k) time and holds four
     d1 x d2 arrays, at most 128 m bytes.  Beside the draws, a fit holds no
     n-length array when d1 * d2 <= n: the draws are counted onto the grid
@@ -616,15 +655,16 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
         draws, loss_at, grad_products = _fit_layout(obs)
-        loss, w, Vc = loss_at(draws, U, V)
+        # part: G @ V from the cell kernels, V.T from the grid's.
+        loss, w, part = loss_at(draws, U, V)
         if not np.isfinite(loss):
             raise ValidationError("the empirical loss at the start is not finite; "
                                   "the observed values are too large in magnitude")
         trace = [loss]
         for it in range(1, cfg.max_iters + 1):
-            GV, GtU = grad_products(draws, w, U, Vc)
-            # Dropped before each trial, so one set of gathered columns is alive.
-            del w, Vc
+            GV, GtU = grad_products(draws, w, U, part)
+            # Dropped before each trial, so one trial's weights are alive.
+            del w, part
             tau = cfg.tau
             for _ in range(MAX_HALVINGS + 1):
                 Un = U - tau * GV
@@ -632,11 +672,11 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
                 Un, Vn = _linf_rescale_arrays(Un, Vn, alpha)
                 Un = _project_rows_inplace(Un, radius)
                 Vn = _project_rows_inplace(Vn, radius)
-                new_loss, w, Vc = loss_at(draws, Un, Vn)
+                new_loss, w, part = loss_at(draws, Un, Vn)
                 # False for NaN and inf, so every accepted loss is finite.
                 if new_loss <= loss * (1 + 1e-12):
                     break
-                del w, Vc
+                del w, part
                 tau *= 0.5
             else:
                 break  # no admissible step; current iterate is the answer
@@ -646,7 +686,7 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
             iterations = it
             if abs(loss - prev) <= cfg.tol * max(prev, 1e-12):
                 break
-    w = Vc = None  # the last trial's gathered columns, unread after the loop
+    w = part = None  # the last trial's weights, unread after the loop
     F = Factorization(U=U, V=V)
     max_sq = max((F.U * F.U).sum(axis=1).max(), (F.V * F.V).sum(axis=1).max())
     return SolveResult(
