@@ -8,6 +8,7 @@ product.  pi_weighted_sq_norm scores an error matrix under a sampling
 distribution.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -104,9 +105,9 @@ class ConstraintSet:
     radius: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
-        if not (np.isfinite(self.radius) and self.radius > 0):
+        if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValidationError(f"radius must be positive and finite, got {self.radius}")
         if self.radius < self.alpha:
             raise ValidationError(

@@ -12,13 +12,14 @@ trials could execute concurrently; records are always emitted sorted by
 which is how the sqrt(d/n) convergence rate is checked empirically.
 """
 
+import math
 import time
 from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
 
-from . import _rng
+from . import _rng, solver
 from .core import ConstraintSet, Factorization, ValidationError, _nonblank_lines, _parse_rows
 from .sampling import (NOISE_KINDS, NoiseModel, SamplingDistribution, make_distribution,
                        observe, sample_indices)
@@ -29,10 +30,6 @@ CSV_HEADER = ("n,replicate,seed,per_entry_mse,pi_weighted_mse,runtime_ms,"
 # The tokens of the two feasibility columns, and the statuses a records CSV may hold.
 _CSV_FLAGS = {"true": True, "false": False}
 _STATUSES = ("ok", "diverged")
-
-# Cells per row block that `_sq_errors` multiplies out at a time: 2 MB of
-# float64.  A row longer than this is one block.
-SCORE_BLOCK_CELLS = 1 << 18
 
 RADIUS_RULE_SQRT_RANK = "alpha_sqrt_rank"
 
@@ -66,15 +63,14 @@ class ExperimentConfig:
             raise ValidationError("sample sizes must be positive")
         if self.replicates < 1:
             raise ValidationError(f"replicates must be >= 1, got {self.replicates}")
-        if self.radius is not None and not self.radius > 0:
-            raise ValidationError(f"radius must be positive, got {self.radius}")
+        self.constraints()  # ConstraintSet checks the constraint alpha and the radius
         if (self.distribution.d1, self.distribution.d2) != (self.d1, self.d2):
             raise ValidationError("sampling distribution shape does not match the grid")
         object.__setattr__(self, "n_grid", grid)
 
     def constraints(self) -> ConstraintSet:
         alpha = self.alpha if self.constraint_alpha is None else self.constraint_alpha
-        radius = alpha * float(np.sqrt(self.rank)) if self.radius is None else self.radius
+        radius = alpha * math.sqrt(self.rank) if self.radius is None else self.radius
         return ConstraintSet(alpha=alpha, radius=radius)
 
 
@@ -147,16 +143,16 @@ def run_trial(M0, distribution, noise, constraints, solver_cfg, n, seed,
 def _sq_errors(F: Factorization, M0: np.ndarray, distribution) -> tuple:
     """sum (U V^T - M0)^2 and sum pi * (U V^T - M0)^2, as two floats.
 
-    Row blocks of at most SCORE_BLOCK_CELLS cells (one row if a row is longer)
-    are multiplied out into one reused buffer, the truth subtracted in
-    place, and squared and summed by einsum, whose order does not depend on
-    the BLAS thread count.  The distribution weighs each block itself
+    Row blocks of at most solver.PRODUCT_BLOCK_CELLS cells (one row if a row
+    is longer) are multiplied out into one reused buffer, the truth
+    subtracted in place, and squared and summed by einsum, whose order does
+    not depend on the BLAS thread count.  The distribution weighs each block itself
     (`_weighted_sq_sum`), so a one-block grid scores as pi_weighted_sq_norm
     of the dense error, bit for bit.
     """
     U, V = F.U, F.V
     d1, d2 = M0.shape
-    step = max(1, SCORE_BLOCK_CELLS // d2)
+    step = max(1, solver.PRODUCT_BLOCK_CELLS // d2)
     D = np.empty((min(step, d1), d2))
     sq = weighted = 0.0
     for r0 in range(0, d1, step):
@@ -372,12 +368,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     noise = NoiseModel(kind=cfg["noise.kind"], sigma=cfg["noise.sigma"])
     k = rank + 1 if cfg["solver.k"] is None else cfg["solver.k"]
-    solver = SolverConfig(k=k, tau=cfg["solver.tau"], max_iters=cfg["solver.max_iters"],
-                          tol=cfg["solver.tol"])
+    solver_cfg = SolverConfig(k=k, tau=cfg["solver.tau"], max_iters=cfg["solver.max_iters"],
+                              tol=cfg["solver.tol"])
     return ExperimentConfig(
         d1=d1, d2=d2, rank=rank, alpha=cfg["truth.alpha"], truth_seed=cfg["truth.seed"],
         distribution=dist, noise=noise, n_grid=tuple(cfg["grid.n"]),
-        replicates=cfg["grid.replicates"], solver=solver,
+        replicates=cfg["grid.replicates"], solver=solver_cfg,
         base_seed=cfg["experiment.seed"], constraint_alpha=cfg["constraints.alpha"],
         radius=cfg["constraints.radius_rule"], output_path=cfg["output.path"],
     )

@@ -43,11 +43,15 @@ class PartialMatrix(ObservationSet):
 
     @classmethod
     def from_observations(cls, obs: ObservationSet) -> "PartialMatrix":
-        """Collapse an observation list onto its cells, averaging duplicates."""
+        """Collapse an observation list onto its cells, averaging duplicates.
+
+        The dedupe's cells are distinct, in row-major order and on the grid,
+        and their means are finite and fresh, so they are kept as they are,
+        with no second check.
+        """
         cells = _dedupe_observations(obs)
         rows = np.repeat(cells.row_ids, cells.row_counts)
-        return cls(d1=obs.d1, d2=obs.d2, indices=np.column_stack([rows, cells.cols]),
-                   values=cells.means)
+        return cls._checked(obs.d1, obs.d2, np.column_stack([rows, cells.cols]), cells.means)
 
 
 @dataclass(frozen=True)

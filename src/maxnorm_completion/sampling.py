@@ -14,10 +14,11 @@ then the column from the column marginal, and an explicit draw takes the
 cell from the flattened cell probabilities; each of these is inverse-CDF,
 equal to numpy's `Generator.choice` with `p` on that vector draw for draw,
 and locates each uniform through a guide table (Chen & Asau 1974), so it
-sorts nothing.  Uniform and product draws hold O(n + d1 + d2) memory
-whatever the grid (see `sample_indices`).  `observe` sums each chunk of
-gathered truth values into the noise array, which becomes the observation
-values.
+sorts nothing.  Every kind writes its draws into the (n, 2) output a
+chunk at a time and holds no other n-length array, so uniform and product
+draws hold the output plus O(d1 + d2) memory whatever the grid (see
+`sample_indices`).  `observe` sums each chunk of gathered truth values into
+the noise array, which becomes the observation values.
 """
 
 from dataclasses import dataclass, field
@@ -35,9 +36,10 @@ LAPLACE_UNIT_SCALE = 1.0 / np.sqrt(2.0)
 
 NOISE_KINDS = ("gaussian", "laplace", "none")
 
-# Draws per chunk of `_choice`'s uniforms and guide-table search, of
-# `observe` and of the solver's counted draws, and cells per block of the
-# solver's cell kernels, so that a chunk's temporaries stay in cache.
+# Draws per chunk of `sample_indices`' uniform draws, of `_choice`'s
+# uniforms and guide-table search, of `observe` and of the solver's counted
+# draws, and cells per block of the solver's cell kernels, so that a chunk's
+# temporaries stay in cache.
 # It equals numpy's einsum buffer size, so the solver's per-chunk sums of
 # squares add up to the bits of one einsum over all draws.
 DRAW_CHUNK = 1 << 13
@@ -85,7 +87,6 @@ class SamplingDistribution:
     cell_probs: np.ndarray | None = None
     row_probs: np.ndarray | None = field(default=None, init=False, repr=False)
     col_probs: np.ndarray | None = field(default=None, init=False, repr=False)
-    _product_min: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.d1 < 1 or self.d2 < 1:
@@ -98,18 +99,15 @@ class SamplingDistribution:
                 verb = "requires" if wanted else "takes no"
                 raise ValidationError(f"{self.kind} distribution {verb} {name}")
         if self.kind == "product":
-            row, row_min, row_total = _checked_marginal(self.row_marginals, self.d1,
-                                                        "row_marginals")
-            col, col_min, col_total = _checked_marginal(self.col_marginals, self.d2,
-                                                        "col_marginals")
+            row, row_total = _checked_marginal(self.row_marginals, self.d1, "row_marginals")
+            col, col_total = _checked_marginal(self.col_marginals, self.d2, "col_marginals")
+            # The quotients are fresh, so they are held without the copy _frozen makes.
+            row_probs, col_probs = row / row_total, col / col_total
+            row_probs.flags.writeable = col_probs.flags.writeable = False
             object.__setattr__(self, "row_marginals", row)
             object.__setattr__(self, "col_marginals", col)
-            object.__setattr__(self, "row_probs", _frozen(row / row_total))
-            object.__setattr__(self, "col_probs", _frozen(col / col_total))
-            # min(v) / total is min(v / total) bit for bit: dividing by a
-            # positive number is monotone.
-            object.__setattr__(self, "_product_min",
-                               float((row_min / row_total) * (col_min / col_total)))
+            object.__setattr__(self, "row_probs", row_probs)
+            object.__setattr__(self, "col_probs", col_probs)
         elif self.kind == "explicit":
             probs = check_matrix(self.cell_probs, "probs")
             if probs.shape != (self.d1, self.d2):
@@ -169,7 +167,7 @@ class SamplingDistribution:
         if self.kind == "uniform":
             return 1.0 / (self.d1 * self.d2)
         if self.kind == "product":
-            return self._product_min
+            return float(self.row_probs.min() * self.col_probs.min())
         return float(self.cell_probs.min())
 
     def _max_cell(self) -> float:
@@ -227,25 +225,23 @@ class ObservationSet:
     values: np.ndarray  # (n,) float64
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = _check_indices(self.indices, self.d1, self.d2, "observation indices out of range")
         vals = np.asarray(self.values, dtype=np.float64)
-        if idx.ndim != 2 or idx.shape[1] != 2 or idx.shape[0] == 0:
-            raise ValidationError(f"indices must have shape (n, 2), got {idx.shape}")
         if vals.shape != (idx.shape[0],):
             raise ValidationError(
                 f"values length {vals.shape} does not match {idx.shape[0]} indices"
             )
         if not np.isfinite(vals).all():
             raise ValidationError("observation values contain non-finite entries")
-        if _out_of_range(idx, self.d1, self.d2):
-            raise ValidationError("observation indices out of range")
         self._hold(idx, _frozen(vals))
 
     @classmethod
     def _checked(cls, d1: int, d2: int, idx: np.ndarray, vals: np.ndarray):
-        """An ObservationSet of arrays its caller has checked as
-        `__post_init__` would, with no second pass over them; `vals`, a
-        float64 vector that no one else holds, is kept without a copy."""
+        """An ObservationSet, or a subclass, of arrays its caller has checked
+        as `__post_init__` would, with no second pass over them; `vals`, a
+        float64 vector that no one else holds, is kept without a copy.  For a
+        PartialMatrix the caller also guarantees that the cells are distinct
+        and in row-major order, which this does not check."""
         obs = object.__new__(cls)
         object.__setattr__(obs, "d1", d1)
         object.__setattr__(obs, "d2", d2)
@@ -265,13 +261,19 @@ class ObservationSet:
         return self.indices.shape[0]
 
 
-def _out_of_range(idx, d1: int, d2: int) -> bool:
-    """Whether a nonempty (n, 2) index array leaves the d1 x d2 grid.
+def _check_indices(indices, d1: int, d2: int, message: str) -> np.ndarray:
+    """`indices` as an int64 array, checked to be (n, 2) with n >= 1 and to
+    lie on the d1 x d2 grid; `message` is the error when it does not.
 
-    One min over the whole array and one max per column: reductions, cheaper
-    than comparing every entry into boolean temporaries.
+    The range takes one min over the whole array and one max per column:
+    reductions, cheaper than comparing every entry into boolean temporaries.
     """
-    return bool(idx.min() < 0 or idx[:, 0].max() >= d1 or idx[:, 1].max() >= d2)
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.ndim != 2 or idx.shape[1] != 2 or idx.shape[0] == 0:
+        raise ValidationError(f"indices must have shape (n, 2), got {idx.shape}")
+    if idx.min() < 0 or idx[:, 0].max() >= d1 or idx[:, 1].max() >= d2:
+        raise ValidationError(message)
+    return idx
 
 
 def make_distribution(kind: str, d1: int, d2: int, *, row_marginals=None,
@@ -312,8 +314,8 @@ def make_distribution(kind: str, d1: int, d2: int, *, row_marginals=None,
 
 
 def _checked_marginal(m, length: int, name: str) -> tuple:
-    """`m` as a read-only float64 vector, checked but not normalized, with its
-    min and its sum.
+    """`m` as a read-only float64 vector, checked but not normalized, and its
+    sum.
 
     The min is NaN or negative when an entry is, and the sum is infinite
     when an entry is +inf, so these two scans make every check.
@@ -329,7 +331,7 @@ def _checked_marginal(m, length: int, name: str) -> tuple:
         raise ValidationError(f"{name} must be nonnegative and finite")
     if not 0 < total < np.inf:
         raise ValidationError(f"{name} must have a positive, finite total")
-    return v, lowest, total
+    return v, total
 
 
 def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
@@ -346,6 +348,8 @@ def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
       explicit -- n cells from the flattened cell probabilities, equal to
                   `Generator.choice(d1*d2, p=probs.ravel())` draw for draw,
                   then split into row and column by one divmod by d2.
+    Every kind writes its draws into the output DRAW_CHUNK at a time, so
+    beside it a draw holds one chunk of temporaries, no n-length array.
     Uniform and product draws take O(n + d1 + d2) time and memory.  An
     explicit draw also holds the d1*d2 CDF and its guide table, 16 bytes
     per cell beside the 8 its distribution already holds.
@@ -355,8 +359,11 @@ def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
     rng = _rng.stream_rng(seed, _rng.SAMPLING)
     out = np.empty((n, 2), dtype=np.int64)
     if dist.kind == "uniform":
-        out[:, 0] = rng.integers(0, dist.d1, size=n)
-        out[:, 1] = rng.integers(0, dist.d2, size=n)
+        # Generator.integers gives the same values in chunks as in one call.
+        for col, high in enumerate((dist.d1, dist.d2)):
+            for t in range(0, n, DRAW_CHUNK):
+                chunk = out[t:t + DRAW_CHUNK, col]
+                chunk[:] = rng.integers(0, high, size=chunk.size)
     elif dist.kind == "product":
         _choice(rng, dist.row_probs, out[:, 0])
         _choice(rng, dist.col_probs, out[:, 1])
@@ -441,11 +448,7 @@ def observe(M0, indices, noise: NoiseModel, seed: int) -> ObservationSet:
     """
     A = check_matrix(M0, "M0")
     d1, d2 = A.shape
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 2 or idx.shape[1] != 2 or idx.shape[0] == 0:
-        raise ValidationError(f"indices must have shape (n, 2), got {idx.shape}")
-    if _out_of_range(idx, d1, d2):
-        raise ValidationError("observation indices out of range for M0")
+    idx = _check_indices(indices, d1, d2, "observation indices out of range for M0")
     n = idx.shape[0]
     rng = _rng.stream_rng(seed, _rng.NOISE)
     if noise.kind == "gaussian":

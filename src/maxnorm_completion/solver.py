@@ -21,9 +21,9 @@ module constant GRID_CELLS_PER_OBSERVED = 4 (see _fit_layout):
   and in row-major order already are those cells, and are not sorted.  A
   PGD iteration evaluates the loss at each trial point in one pass over
   blocks of at most sampling.DRAW_CHUNK cells that end at row boundaries,
-  cut once per fit (see _cell_blocks).  Each block gathers V's columns at
-  its cells into one k x b buffer that every block reuses; U's value at
-  the cells is np.repeat of its observed rows, not a gather.  The same
+  cut where the cells are found (see _cell_blocks).  Each block gathers
+  V's columns at its cells into one k x b buffer that every block reuses;
+  U's value at the cells is np.repeat of its observed rows.  The same
   pass scales the gathered columns by the gradient weights and sums each
   row's segment into G @ V, so every trial, accepted or not, computes
   G @ V.  The accepted trial's weights and U's repeated columns, binned by
@@ -46,7 +46,7 @@ in decreasing norm and stopping once the Cauchy-Schwarz bound
 max.  Usually a small share of the rows is scanned; in the worst case
 (every row of U at the same norm, as when all sit on the radius) it covers
 all d1 rows, d1 d2 k flops plus an O(d1 log d1) sort.  The max holds at
-most one block of LINF_BLOCK_CELLS cells.
+most one block of PRODUCT_BLOCK_CELLS cells.
 SolveResult stores no d1 x d2 array: each read of `completed` builds a
 fresh dense product, which lives as long as the caller keeps it.
 
@@ -70,8 +70,10 @@ MAX_HALVINGS = 20
 # Slack for the constraint checks reported on returned iterates.
 FEASIBILITY_SLACK = 1e-9
 
-# Cells per row block of U @ V.T when taking its elementwise max.
-LINF_BLOCK_CELLS = 1 << 20
+# Cells per row block of U @ V.T, 2 MB of float64, both when taking its
+# elementwise max and when harness scores a fit.  A row longer than this is
+# one block.
+PRODUCT_BLOCK_CELLS = 1 << 18
 
 # fit_pgd runs the grid kernels when d1 * d2 <= GRID_CELLS_PER_OBSERVED * m,
 # for m observed cells, and the cell kernels otherwise.  Timing each layout's
@@ -157,6 +159,7 @@ class _Cells(NamedTuple):
 
     A row's cells are contiguous, so a row factor at every cell is
     np.repeat(u[row_ids], row_counts): no per-cell row index is kept.
+    `blocks` cuts them for the cell kernels (see _cell_blocks).
     """
 
     cols: np.ndarray  # int64: the column of each cell
@@ -168,7 +171,7 @@ class _Cells(NamedTuple):
     ss_within: float  # sum over all draws of (y_t - mean of its cell)^2
     n: int  # total draws
     d2: int  # columns of the grid
-    blocks: tuple = ()  # the cell kernels' blocks, set by _fit_layout (see _cell_blocks)
+    blocks: tuple  # (first row, end row, first cell, end cell) per block
 
 
 def _dedupe_observations(obs: ObservationSet) -> _Cells:
@@ -212,7 +215,8 @@ def _cells(obs: ObservationSet, cell_rows, cols, counts, means, ss_within) -> _C
     row_starts = np.flatnonzero(np.diff(cell_rows, prepend=-1))
     return _Cells(cols=cols, row_ids=cell_rows[row_starts], row_starts=row_starts,
                   row_counts=np.diff(row_starts, append=cols.size), counts=counts,
-                  means=means, ss_within=ss_within, n=obs.n, d2=obs.d2)
+                  means=means, ss_within=ss_within, n=obs.n, d2=obs.d2,
+                  blocks=_cell_blocks(row_starts, cols.size))
 
 
 def _count_cells(obs: ObservationSet, counts, means, ss_within) -> _Cells:
@@ -354,14 +358,14 @@ def _within_cell_ss(values, means, cells_at):
     return ss
 
 
-def _cell_blocks(cells: _Cells) -> tuple:
-    """The cells cut into blocks of at most sampling.DRAW_CHUNK cells that
-    end at row boundaries, as (first row, end row, first cell, end cell)
-    per block, rows indexing cells.row_ids.  A row longer than a block is a
-    block of its own."""
-    ends = np.append(cells.row_starts, cells.cols.size)
+def _cell_blocks(row_starts, m: int) -> tuple:
+    """m cells, whose rows start at row_starts, cut into blocks of at most
+    sampling.DRAW_CHUNK cells that end at row boundaries, as (first row,
+    end row, first cell, end cell) per block, rows indexing row_starts.  A
+    row longer than a block is a block of its own."""
+    ends = np.append(row_starts, m)
     blocks, lo = [], 0
-    while lo < cells.row_starts.size:
+    while lo < row_starts.size:
         hi = int(ends.searchsorted(ends[lo] + sampling.DRAW_CHUNK, side="right")) - 1
         hi = max(hi, lo + 1)
         blocks.append((lo, hi, int(ends[lo]), int(ends[hi])))
@@ -443,7 +447,7 @@ def _fit_layout(obs: ObservationSet):
     """The draws in the layout fit_pgd iterates on, with that layout's loss
     and gradient-product kernels: the grid (_Grid) when
     d1 * d2 <= GRID_CELLS_PER_OBSERVED * m for m observed cells, else the
-    cells (_Cells), with the cell kernels' blocks cut once here.
+    cells (_Cells).
 
     The draws are counted when d1 * d2 <= n and sorted otherwise, as
     _dedupe_observations does.  The counted grid arrays go to the grid as
@@ -458,22 +462,17 @@ def _fit_layout(obs: ObservationSet):
     if grid <= obs.n:
         counts, means, ss_within = _grid_arrays(obs, grid)
         if grid > GRID_CELLS_PER_OBSERVED * np.count_nonzero(counts):
-            return _blocked(_count_cells(obs, counts, means, ss_within))
+            return _count_cells(obs, counts, means, ss_within), _cell_loss, _cell_grad_products
     else:
         cells = _dedupe_observations(obs)
         if grid > GRID_CELLS_PER_OBSERVED * cells.cols.size:
-            return _blocked(cells)
+            return cells, _cell_loss, _cell_grad_products
         (counts, means), ss_within = _scatter(cells, grid), cells.ss_within
         del cells
     shape = (obs.d1, obs.d2)
     return (_Grid(counts=counts.reshape(shape), means=means.reshape(shape), ss_within=ss_within,
                   n=obs.n, P=np.empty(shape), G=np.empty(shape)),
             _grid_loss, _grid_grad_products)
-
-
-def _blocked(cells: _Cells):
-    """The cells with their blocks, and the cell kernels."""
-    return cells._replace(blocks=_cell_blocks(cells)), _cell_loss, _cell_grad_products
 
 
 def _scatter(cells: _Cells, grid: int):
@@ -555,9 +554,9 @@ def _max_abs_product(U, V) -> float:
     """max |U @ V.T|, exactly, scanning only the rows of U that can attain it.
 
     Rows of U are taken in decreasing norm, in blocks that start at one row
-    and double up to about LINF_BLOCK_CELLS cells.  The scan stops when the
-    next row's bound |u_i| max_j |v_j| cannot exceed the running max.  NaN
-    propagates as it does through np.abs(U @ V.T).max().
+    and double up to about PRODUCT_BLOCK_CELLS cells.  The scan stops when
+    the next row's bound |u_i| max_j |v_j| cannot exceed the running max.
+    NaN propagates as it does through np.abs(U @ V.T).max().
     """
     d1, k = U.shape
     a, b = _row_norms_in_range(U), _row_norms_in_range(V)
@@ -573,7 +572,7 @@ def _max_abs_product(U, V) -> float:
         # higher orders and the subnormal terms, each of which errs by at
         # most 2^-75 of a nonzero bound within _row_norms_in_range's range.
         bound = a[order] * (b.max() * (1 + 4 * (k + 2) * np.finfo(np.float64).eps))
-    cap = max(1, LINF_BLOCK_CELLS // V.shape[0])
+    cap = max(1, PRODUCT_BLOCK_CELLS // V.shape[0])
     # One buffer for every block: blocks of changing size, each freshly
     # allocated, fault in new pages on every call.
     buf = np.empty((min(cap, d1), V.shape[0]))
@@ -618,9 +617,9 @@ def init_factors(d1: int, d2: int, k: int, constraints: ConstraintSet,
     U = rng.normal(scale=sd, size=(d1, k))
     V = rng.normal(scale=sd, size=(d2, k))
     U, V = _linf_rescale_arrays(U, V, constraints.alpha)
-    U = project_factor_rows(U, constraints.radius)
-    V = project_factor_rows(V, constraints.radius)
-    return Factorization(U=U, V=V)
+    # U and V are fresh, finite draws, so they are projected in place.
+    return Factorization(U=_project_rows_inplace(U, constraints.radius),
+                         V=_project_rows_inplace(V, constraints.radius))
 
 
 def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) -> SolveResult:

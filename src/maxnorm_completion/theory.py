@@ -7,7 +7,7 @@ any report as key=value lines; the CLI writes its reports with it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -90,12 +90,5 @@ def format_report(items) -> str:
 
 
 def rate_report_items(p: RateParams, rep: RateReport):
-    return [
-        ("alpha", p.alpha), ("sigma", p.sigma), ("R", p.R),
-        ("d1", p.d1), ("d2", p.d2), ("n", p.n), ("mu", p.mu), ("L", p.L),
-        ("upper_rate", rep.upper_rate),
-        ("lower_rate_general", rep.lower_rate_general),
-        ("lower_rate_largeN", rep.lower_rate_largeN),
-        ("quater_ok", rep.quater_ok),
-        ("sample_condition_ok", rep.sample_condition_ok),
-    ]
+    """(key, value) pairs: the fields of p, then those of rep, in declaration order."""
+    return [(f.name, getattr(obj, f.name)) for obj in (p, rep) for f in fields(obj)]

@@ -23,7 +23,7 @@ from maxnorm_completion import (
     read_records_csv,
     run_experiment,
 )
-from maxnorm_completion import _rng, harness, sampling
+from maxnorm_completion import _rng, harness, sampling, solver
 from maxnorm_completion.harness import (
     CSV_HEADER,
     format_record,
@@ -223,8 +223,8 @@ def _scored_fits(draw):
 def test_blocked_scores_match_dense_reference(case, block_rows):
     F, M0, dist = case
     (d1, d2), k = M0.shape, F.k
-    cells = harness.SCORE_BLOCK_CELLS if block_rows is None else block_rows * d2
-    with patch.object(harness, "SCORE_BLOCK_CELLS", cells):
+    cells = solver.PRODUCT_BLOCK_CELLS if block_rows is None else block_rows * d2
+    with patch.object(solver, "PRODUCT_BLOCK_CELLS", cells):
         sq, weighted = harness._sq_errors(F, M0, dist)
     delta = F.product() - M0
     # Each entry U_i . V_j - M0_ij errs by at most (k + 1) eps times the sum
@@ -253,7 +253,7 @@ def test_scores_hold_one_block(kind):
                                          col_marginals=rng.uniform(0.5, 1, d)),
           "explicit": dict(probs=rng.uniform(0.5, 1, (d, d)))}[kind]
     dist = make_distribution(kind, d, d, **kw)
-    block = (harness.SCORE_BLOCK_CELLS // d) * d * 8
+    block = (solver.PRODUCT_BLOCK_CELLS // d) * d * 8
     tracemalloc.start()
     try:
         sq, weighted = harness._sq_errors(F, M0, dist)
@@ -487,6 +487,15 @@ def test_fixed_radius_rule():
         parse_config_text(CONFIG_TEXT.replace(
             "constraints.radius_rule = alpha_sqrt_rank",
             "constraints.radius_rule = 0"))
+    with pytest.raises(ValidationError, match="radius must be >= alpha"):  # truth.alpha = 1.0
+        parse_config_text(CONFIG_TEXT.replace(
+            "constraints.radius_rule = alpha_sqrt_rank",
+            "constraints.radius_rule = 0.5"))
+
+
+def test_parse_config_rejects_a_nonpositive_constraint_alpha():
+    with pytest.raises(ValidationError, match="alpha must be positive"):
+        parse_config_text(CONFIG_TEXT.replace("constraints.alpha = auto", "constraints.alpha = 0"))
 
 
 def test_load_config(tmp_path):

@@ -159,6 +159,11 @@ def test_from_observations_lists_cells_in_argwhere_order_and_is_idempotent(obs):
     mask = np.zeros((obs.d1, obs.d2), dtype=bool)
     mask[obs.indices[:, 0], obs.indices[:, 1]] = True
     assert np.array_equal(P.indices, np.argwhere(mask))
+    assert not (P.indices.flags.writeable or P.values.flags.writeable)
+    # The validating constructor accepts what from_observations kept unchecked.
+    checked = PartialMatrix(d1=P.d1, d2=P.d2, indices=P.indices, values=P.values)
+    assert checked.indices.tobytes() == P.indices.tobytes()
+    assert checked.values.tobytes() == P.values.tobytes()
     again = PartialMatrix.from_observations(P)
     assert np.array_equal(again.indices, P.indices)
     # Equal values; a mean of -0.0 comes back as +0.0, as np.bincount sums from +0.0.

@@ -317,13 +317,16 @@ def test_sample_indices_pinned_draws():
 
 
 @settings(deadline=None, max_examples=200)
-@given(d1=st.integers(1, 2**32), d2=st.integers(1, 2**32), n=st.integers(1, 300),
-       seed=st.integers(0, 2**63 - 1))
-@example(d1=1, d2=1, n=1, seed=0)
-@example(d1=1, d2=2**32, n=7, seed=1)
-@example(d1=2**32, d2=2**32, n=300, seed=2)
-def test_uniform_sample_indices_equal_integers_reference(d1, d2, n, seed):
-    idx = sample_indices(make_distribution("uniform", d1, d2), n, seed)
+@given(d1=st.integers(1, 2**33), d2=st.integers(1, 2**33), n=st.integers(1, 300),
+       seed=st.integers(0, 2**63 - 1), chunk=st.sampled_from([1, 7, sampling.DRAW_CHUNK]))
+@example(d1=1, d2=1, n=1, seed=0, chunk=sampling.DRAW_CHUNK)
+@example(d1=1, d2=2**32, n=7, seed=1, chunk=7)
+@example(d1=2**32, d2=2**32, n=300, seed=2, chunk=7)
+@example(d1=2**33, d2=3, n=15, seed=3, chunk=7)
+def test_uniform_sample_indices_equal_integers_reference(d1, d2, n, seed, chunk):
+    # Drawn `chunk` at a time, against one Generator.integers call per column.
+    with patch.object(sampling, "DRAW_CHUNK", chunk):
+        idx = sample_indices(make_distribution("uniform", d1, d2), n, seed)
     rng = _rng.stream_rng(seed, _rng.SAMPLING)
     rows = rng.integers(0, d1, size=n)
     cols = rng.integers(0, d2, size=n)
@@ -405,21 +408,24 @@ def test_sample_indices_over_several_chunks_equals_generator_choice(dist, seed, 
 
 
 def test_sample_indices_bench_size_memory():
-    # The bench's largest draw: a 400 x 400 product with row marginals
-    # 1/i^0.7 and n = 4 * d1 * d2.  Beside the 9.77 MiB output it holds one
+    # The bench's largest draws.  A 400 x 400 product with row marginals
+    # 1/i^0.7 and n = 4 * d1 * d2: beside the 9.77 MiB output it holds one
     # chunk's uniforms and temporaries, 0.2 MiB; uniforms for all n draws at
-    # once took 5.0 MiB more, and sorting them 11 MiB.
+    # once took 5.0 MiB more, and sorting them 11 MiB.  Uniform draws,
+    # n = 320k on 4000 x 4000: beside the 4.88 MiB output it holds one chunk
+    # of integers; all n rows at once took 2.4 MiB more.
     d = 400
-    dist = make_distribution("product", d, d, row_marginals=1.0 / np.arange(1, d + 1) ** 0.7,
-                             col_marginals=np.ones(d))
-    tracemalloc.start()
-    try:
-        idx = sample_indices(dist, 4 * d * d, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert idx.shape == (4 * d * d, 2)
-    assert peak <= idx.nbytes + (1 << 20)
+    product = make_distribution("product", d, d, row_marginals=1.0 / np.arange(1, d + 1) ** 0.7,
+                                col_marginals=np.ones(d))
+    for dist, n in [(product, 4 * d * d), (make_distribution("uniform", 4000, 4000), 320_000)]:
+        tracemalloc.start()
+        try:
+            idx = sample_indices(dist, n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert idx.shape == (n, 2)
+        assert peak <= idx.nbytes + (1 << 20), dist.kind
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.25, 0.5])

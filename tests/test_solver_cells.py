@@ -52,6 +52,17 @@ shapes = dict(seed=st.integers(0, 2**32 - 1), d1=st.integers(1, 8), d2=st.intege
               n=st.integers(1, 80), pool=st.integers(1, 12))
 
 
+def _assert_blocks_tile(cells, block):
+    """The cells' blocks cover them in order, each ends at a row boundary,
+    and each holds at most `block` cells unless it is a single row."""
+    ends = np.append(cells.row_starts, cells.cols.size).tolist()
+    starts = [(lo, c0) for lo, _, c0, _ in cells.blocks]
+    assert starts[0] == (0, 0)
+    assert [(hi, c1) for _, hi, _, c1 in cells.blocks] == starts[1:] + [(len(ends) - 1, ends[-1])]
+    assert all(lo < hi and c0 == ends[lo] and c1 == ends[hi] for lo, hi, c0, c1 in cells.blocks)
+    assert all(c1 - c0 <= block or hi == lo + 1 for lo, hi, c0, c1 in cells.blocks)
+
+
 def _kernels(kind, obs):
     """The draws and the loss and gradient-product kernels fit_pgd runs for
     `kind`, whatever the density of the observed cells."""
@@ -164,9 +175,7 @@ def test_cell_kernels_equal_per_column_gather_reference_bit_for_bit(obs, k, seed
     U, V = rng.normal(size=(obs.d1, k)), rng.normal(size=(obs.d2, k))
     with patch.object(sampling, "DRAW_CHUNK", block):
         cells, loss_at, grad_products = _kernels("cells", obs)
-    bounds = [(lo, c0) for lo, _, c0, _ in cells.blocks] + [(cells.row_ids.size, cells.cols.size)]
-    assert [(hi, c1) for _, hi, _, c1 in cells.blocks] == bounds[1:]  # the blocks tile the cells
-    assert all(c1 - c0 <= block or hi == lo + 1 for lo, hi, c0, c1 in cells.blocks)
+    _assert_blocks_tile(cells, block)
     loss, w, GV, GtU = _per_column_gather_reference(obs, cells, U, V)
     cell_loss, cell_w, cell_GV = loss_at(cells, U, V)
     got_GV, cell_GtU = grad_products(cells, cell_w, U, cell_GV)
@@ -190,15 +199,18 @@ def test_first_trace_entry_is_dense_loss_at_start(seed, d1, d2, n, pool, k):
 
 
 @settings(max_examples=100, deadline=None)
-@given(**shapes)
-@example(seed=34194848, d1=1, d2=2, n=56, pool=1)  # the draws nearly cancel: mean 1.27e-6
-def test_dedupe_matches_per_cell_reference(seed, d1, d2, n, pool):
+@given(block=st.sampled_from([1, 3, sampling.DRAW_CHUNK]), **shapes)
+@example(seed=34194848, d1=1, d2=2, n=56, pool=1,  # the draws nearly cancel: mean 1.27e-6
+         block=sampling.DRAW_CHUNK)
+def test_dedupe_matches_per_cell_reference(seed, d1, d2, n, pool, block):
     _, obs = _duplicate_heavy_instance(seed, d1, d2, n, pool)
     draws = defaultdict(list)
     for (i, j), y in zip(obs.indices.tolist(), obs.values):
         draws[i, j].append(y)
     keys = sorted(draws)
-    cells = solver._dedupe_observations(obs)
+    with patch.object(sampling, "DRAW_CHUNK", block):
+        cells = solver._dedupe_observations(obs)
+    _assert_blocks_tile(cells, block)
     row_ids, row_counts = np.unique([i for i, _ in keys], return_counts=True)
     assert cells.row_ids.tolist() == row_ids.tolist()
     assert cells.row_counts.tolist() == row_counts.tolist()
@@ -423,7 +435,7 @@ def _dyadic(rng, shape):
 ])
 def test_blocked_max_equals_dense_max(monkeypatch, d1, d2, block_cells):
     if block_cells is not None:
-        monkeypatch.setattr(solver, "LINF_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(solver, "PRODUCT_BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(d1 * d2)
     U, V = _dyadic(rng, (d1, 3)), _dyadic(rng, (d2, 3))
     U[-1] = 100.0  # the extreme sits in the last, partial block
@@ -431,7 +443,7 @@ def test_blocked_max_equals_dense_max(monkeypatch, d1, d2, block_cells):
 
 
 def test_blocked_max_of_negative_extreme(monkeypatch):
-    monkeypatch.setattr(solver, "LINF_BLOCK_CELLS", 2)
+    monkeypatch.setattr(solver, "PRODUCT_BLOCK_CELLS", 2)
     U = np.array([[1.0], [-3.0], [0.5]])
     V = np.array([[2.0], [1.0]])
     assert (U @ V.T).max() == 2.0
@@ -439,7 +451,7 @@ def test_blocked_max_of_negative_extreme(monkeypatch):
 
 
 def test_blocked_max_propagates_nan(monkeypatch):
-    monkeypatch.setattr(solver, "LINF_BLOCK_CELLS", 2)
+    monkeypatch.setattr(solver, "PRODUCT_BLOCK_CELLS", 2)
     U = np.array([[1.0], [np.nan], [0.5]])
     assert np.isnan(solver._max_abs_product(U, np.ones((2, 1))))
 
@@ -451,7 +463,7 @@ def _assert_max_matches_dense(U, V):
 @pytest.mark.parametrize("block_cells", [None, 4])
 def test_pruned_max_scans_past_orthogonal_large_rows(monkeypatch, block_cells):
     if block_cells is not None:
-        monkeypatch.setattr(solver, "LINF_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(solver, "PRODUCT_BLOCK_CELLS", block_cells)
     V = np.array([[1.0, 0.0], [0.5, 0.0], [-0.25, 0.0]])
     U = np.zeros((12, 2))
     U[:11, 1] = np.arange(11) + 64.0  # large rows, orthogonal to every row of V
@@ -509,8 +521,8 @@ def test_pruned_max_equals_dense_max(seed, d1, d2, k, block_rows):
     # stays exact.
     U = _dyadic(rng, (d1, k)) * 2.0 ** rng.integers(-20, 21, size=(d1, 1))
     V = _dyadic(rng, (d2, k)) * 2.0 ** rng.integers(-20, 21, size=(d2, 1))
-    block_cells = solver.LINF_BLOCK_CELLS if block_rows is None else block_rows * d2
-    with patch.object(solver, "LINF_BLOCK_CELLS", block_cells):
+    block_cells = solver.PRODUCT_BLOCK_CELLS if block_rows is None else block_rows * d2
+    with patch.object(solver, "PRODUCT_BLOCK_CELLS", block_cells):
         _assert_max_matches_dense(U, V)
 
 

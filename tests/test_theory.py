@@ -79,7 +79,9 @@ def test_format_report_key_value_lines():
     lines = text.strip().splitlines()
     assert all("=" in ln for ln in lines)
     keys = [ln.split("=")[0] for ln in lines]
-    assert "upper_rate" in keys and "quater_ok" in keys
+    assert keys == ["alpha", "sigma", "R", "d1", "d2", "n", "mu", "L", "upper_rate",
+                    "lower_rate_general", "lower_rate_largeN", "quater_ok",
+                    "sample_condition_ok"]
     values = dict(ln.split("=", 1) for ln in lines)
     assert values["quater_ok"] in ("true", "false")
     assert float(values["upper_rate"]) > 0
