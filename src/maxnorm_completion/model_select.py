@@ -15,6 +15,7 @@ Besides the fill's profile, the search holds at most two completions at a
 time: the best so far and the candidate being scored.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,7 +62,7 @@ class RankSearchConfig:
     solver: SolverConfig  # template; k is overridden to r + 1 per candidate
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha0) and self.alpha0 > 0):
+        if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
             raise ValidationError(f"alpha0 must be positive, got {self.alpha0}")
         if self.r_max < 2:
             raise ValidationError(f"r_max must be >= 2, got {self.r_max}")

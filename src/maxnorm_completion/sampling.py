@@ -4,9 +4,12 @@ Indices are drawn i.i.d. with replacement from a distribution over the
 d1 x d2 grid.  A uniform distribution stores only its shape, a product one
 its row and column marginals, and only an explicit one a d1 x d2 array;
 reading `probs` of a uniform or product distribution builds a d1 x d2
-array.  Each draw t observes Y_t = M0[i_t, j_t] + sigma * xi_t with
-fresh unit-variance noise per draw.  Both steps are seeded and reproducible:
-identical seeds give identical index sequences and identical noise.
+array.  Product marginals and explicit cell weights are checked and
+divided by their total through one routine, `_normalized`, so weights
+need not sum to 1.  Each draw t observes Y_t = M0[i_t, j_t] + sigma * xi_t
+with fresh unit-variance noise per draw.  Both steps are seeded and
+reproducible: identical seeds give identical index sequences and identical
+noise.
 
 A uniform index draw takes the row, then the column, from
 `Generator.integers`.  A product draw takes the row from the row marginal,
@@ -21,6 +24,7 @@ draws hold the output plus O(d1 + d2) memory whatever the grid (see
 the noise array, which becomes the observation values.
 """
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -28,8 +32,6 @@ import numpy as np
 
 from . import _rng
 from .core import ValidationError, check_matrix, _dot, _frozen, _nonblank_lines, _parse_rows
-
-PROB_SUM_TOL = 1e-9
 
 # Laplace scale giving unit variance (var = 2 * scale^2).
 LAPLACE_UNIT_SCALE = 1.0 / np.sqrt(2.0)
@@ -61,9 +63,9 @@ class SamplingDistribution:
       "product"  -- `row_marginals` and `col_marginals` as given (validated,
                     not normalized), and `row_probs`, `col_probs`: the same
                     normalized once; cell (k, l) is row_probs[k] * col_probs[l];
-      "explicit" -- `cell_probs`, the d1 x d2 probabilities, summing to 1:
-                    the array given when it is read-only and C-contiguous,
-                    else a read-only copy.
+      "explicit" -- `cell_probs`: the d1 x d2 weights given, validated and
+                    divided by their total, in a fresh read-only C-ordered
+                    array; the array given is never held.
 
     mu >= 1 measures how far the smallest cell probability sits below
     uniform (mu = 1 / (d1*d2*min prob)); L >= 1 how far the largest sits
@@ -99,31 +101,16 @@ class SamplingDistribution:
                 verb = "requires" if wanted else "takes no"
                 raise ValidationError(f"{self.kind} distribution {verb} {name}")
         if self.kind == "product":
-            row, row_total = _checked_marginal(self.row_marginals, self.d1, "row_marginals")
-            col, col_total = _checked_marginal(self.col_marginals, self.d2, "col_marginals")
-            # The quotients are fresh, so they are held without the copy _frozen makes.
-            row_probs, col_probs = row / row_total, col / col_total
-            row_probs.flags.writeable = col_probs.flags.writeable = False
-            object.__setattr__(self, "row_marginals", row)
-            object.__setattr__(self, "col_marginals", col)
+            row, row_probs = _normalized(self.row_marginals, (self.d1,), "row_marginals")
+            col, col_probs = _normalized(self.col_marginals, (self.d2,), "col_marginals")
+            # The marginals are kept as given, so a file round trip is bit-exact.
+            object.__setattr__(self, "row_marginals", _frozen(row))
+            object.__setattr__(self, "col_marginals", _frozen(col))
             object.__setattr__(self, "row_probs", row_probs)
             object.__setattr__(self, "col_probs", col_probs)
         elif self.kind == "explicit":
-            probs = check_matrix(self.cell_probs, "probs")
-            if probs.shape != (self.d1, self.d2):
-                raise ValidationError(
-                    f"probs shape {probs.shape} does not match ({self.d1}, {self.d2})"
-                )
-            if probs.min() < 0:
-                raise ValidationError("probabilities must be nonnegative")
-            total = probs.sum()
-            if abs(total - 1.0) > PROB_SUM_TOL:
-                raise ValidationError(f"probabilities must sum to 1, got {total!r}")
-            # A read-only C-contiguous array, as make_distribution's quotient
-            # is, is held as it is: a copy would double the d1 x d2 bytes.
-            if probs.flags.writeable or not probs.flags.c_contiguous:
-                probs = _frozen(probs)
-            object.__setattr__(self, "cell_probs", probs)
+            cell_probs = _normalized(self.cell_probs, (self.d1, self.d2), "cell_probs")[1]
+            object.__setattr__(self, "cell_probs", cell_probs)
 
     @property
     def probs(self) -> np.ndarray:
@@ -205,7 +192,7 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValidationError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
-        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValidationError(f"sigma must be nonnegative and finite, got {self.sigma}")
 
 
@@ -278,31 +265,14 @@ def _check_indices(indices, d1: int, d2: int, message: str) -> np.ndarray:
 
 def make_distribution(kind: str, d1: int, d2: int, *, row_marginals=None,
                       col_marginals=None, probs=None) -> SamplingDistribution:
-    """Build a normalized sampling distribution on the d1 x d2 grid.
+    """The sampling distribution of `kind` on the d1 x d2 grid, with no zero
+    cell.
 
-    kind is one of:
-      "uniform"  -- every cell 1/(d1*d2);
-      "product"  -- probs[k,l] = row_marginals[k] * col_marginals[l]
-                    (marginals are kept as given and normalized for use);
-      "explicit" -- probs given directly (normalized).
-
-    Any zero cell is rejected: a cell that can never be observed makes the
-    flatness parameter mu infinite.  Explicit probabilities are only
-    divided by their total here, into one read-only array that the
-    distribution holds without a copy; `SamplingDistribution` checks the quotient
-    (finite, of the grid's shape, nonnegative, summing to 1), which a
-    non-finite entry or an overflowing total leaves non-finite or all zero.
+    It passes `probs` on as the explicit kind's `cell_probs`, and rejects
+    any zero cell: a cell that can never be observed makes the flatness
+    parameter mu infinite.  `SamplingDistribution` checks and normalizes
+    the weights of every kind.
     """
-    if kind == "explicit":
-        if probs is None:
-            raise ValidationError("explicit distribution requires probs")
-        p = np.asarray(probs, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = p.sum()
-            if total <= 0:
-                raise ValidationError("probabilities must have positive total")
-            probs = np.divide(p, total, out=np.empty(p.shape))  # an array even when 0-d
-        probs.flags.writeable = False
     dist = SamplingDistribution(d1=d1, d2=d2, kind=kind, row_marginals=row_marginals,
                                 col_marginals=col_marginals, cell_probs=probs)
     if dist._min_cell() <= 0:
@@ -313,25 +283,29 @@ def make_distribution(kind: str, d1: int, d2: int, *, row_marginals=None,
     return dist
 
 
-def _checked_marginal(m, length: int, name: str) -> tuple:
-    """`m` as a read-only float64 vector, checked but not normalized, and its
-    sum.
+def _normalized(weights, shape: tuple, name: str) -> tuple:
+    """`weights` as a C-ordered float64 array of `shape`, checked to be
+    nonnegative and finite with a positive, finite total, and a fresh
+    read-only array of them divided by that total.
 
     The min is NaN or negative when an entry is, and the sum is infinite
-    when an entry is +inf, so these two scans make every check.
+    when an entry is +inf or the total overflows, so these two scans make
+    every check.  The weights are summed in C order whatever their layout,
+    so the quotient's bits do not depend on it.
     """
-    v = np.asarray(m, dtype=np.float64)
-    if v.shape != (length,):
-        raise ValidationError(f"{name} must have length {length}, got shape {v.shape}")
-    v = _frozen(v)
-    lowest = v.min()
+    w = np.asarray(weights, dtype=np.float64, order="C")
+    if w.shape != shape:
+        raise ValidationError(f"{name} shape {w.shape} does not match {shape}")
+    lowest = w.min()
     with np.errstate(over="ignore", invalid="ignore"):
-        total = v.sum()
-    if not lowest >= 0 or (total == np.inf and np.isinf(v).any()):
+        total = w.sum()
+    if not lowest >= 0 or (total == np.inf and np.isinf(w).any()):
         raise ValidationError(f"{name} must be nonnegative and finite")
     if not 0 < total < np.inf:
         raise ValidationError(f"{name} must have a positive, finite total")
-    return v, total
+    probs = w / total
+    probs.flags.writeable = False
+    return w, probs
 
 
 def sample_indices(dist: SamplingDistribution, n: int, seed: int) -> np.ndarray:
@@ -529,8 +503,10 @@ def load_distribution(path) -> SamplingDistribution:
 
     Uniform and product files come back bit for bit: a product file holds
     the marginals as they were given, and they are normalized again the same
-    way.  An explicit file holds the normalized probabilities, which
-    `make_distribution` normalizes once more, so their last bits may move.
+    way.  An explicit file holds the normalized probabilities, which the
+    distribution normalizes once more, so their last bits may move.  A
+    file's weights need not sum to 1, and an explicit file with other than
+    d1 rows fails the distribution's shape check.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = _nonblank_lines(fh)
@@ -548,8 +524,6 @@ def load_distribution(path) -> SamplingDistribution:
             return make_distribution("product", d1, d2, row_marginals=row, col_marginals=col)
         if kind == "explicit":
             probs = _parse_rows(lines, np.float64, "explicit distribution row")
-            if probs.shape[0] != d1:
-                raise ValidationError(f"explicit distribution needs {d1} probability rows")
             return make_distribution("explicit", d1, d2, probs=probs)
     if kind is None:
         raise ValidationError("distribution file needs a header and a kind line")

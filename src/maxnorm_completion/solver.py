@@ -53,6 +53,7 @@ fresh dense product, which lives as long as the caller keeps it.
 The fit is deterministic given (observations, constraints, config).
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -99,11 +100,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError(f"factor width k must be >= 1, got {self.k}")
-        if not (np.isfinite(self.tau) and self.tau > 0):
+        if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValidationError(f"tau must be positive, got {self.tau}")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
+        if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValidationError(f"tol must be positive, got {self.tol}")
 
 

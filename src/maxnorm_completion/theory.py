@@ -9,8 +9,6 @@ any report as key=value lines; the CLI writes its reports with it.
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .core import ValidationError
 
 
@@ -28,7 +26,7 @@ class RateParams:
     def __post_init__(self):
         for name in ("alpha", "sigma", "R"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
+            if not (math.isfinite(v) and v > 0):
                 raise ValidationError(f"{name} must be positive, got {v}")
         if self.R < self.alpha:
             raise ValidationError(f"R must be >= alpha, got R={self.R} < alpha={self.alpha}")

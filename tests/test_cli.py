@@ -37,6 +37,15 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert o1.read_bytes() == o2.read_bytes()
 
 
+def test_simulate_rejects_an_explicit_file_with_extra_rows(tmp_path, capsys):
+    dist = tmp_path / "extra.dist"
+    dist.write_text("2,3\nexplicit\n1,1,2\n2,1,1\n1,1,1\n", encoding="ascii")
+    assert main(["simulate", "--d1", "2", "--d2", "3", "--rank", "1", "--n", "10",
+                 "--dist", str(dist), "--out-truth", str(tmp_path / "truth.txt"),
+                 "--out-obs", str(tmp_path / "obs.txt")]) == 1
+    assert "does not match" in capsys.readouterr().err
+
+
 def test_fit_completes_and_is_deterministic(tmp_path):
     _, obs_path = _simulate(tmp_path, n=300)
     out1 = tmp_path / "fit1.dense"

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -8,10 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 from maxnorm_completion import (
     ConstraintSet,
     Factorization,
+    NoiseModel,
     ObservationSet,
     PartialMatrix,
     RankEstimate,
+    RankSearchConfig,
+    RateParams,
     SamplingDistribution,
+    SolverConfig,
     ValidationError,
     make_distribution,
     pi_weighted_sq_norm,
@@ -158,6 +163,40 @@ def test_constraint_set_requires_radius_at_least_alpha():
     with pytest.raises(ValidationError):
         ConstraintSet(alpha=2.0, radius=1.0)
     ConstraintSet(alpha=1.0, radius=1.0)  # boundary is fine
+
+
+# Each scalar parameter: a constructor of the value, the start of its error
+# message, and whether 0 is allowed.
+_SCALAR_PARAMETERS = {
+    "ConstraintSet.alpha": (lambda v: ConstraintSet(alpha=v, radius=4.0),
+                            "alpha must be positive and finite", False),
+    "ConstraintSet.radius": (lambda v: ConstraintSet(alpha=1.0, radius=v),
+                             "radius must be positive and finite", False),
+    "SolverConfig.tau": (lambda v: SolverConfig(k=1, tau=v), "tau must be positive", False),
+    "SolverConfig.tol": (lambda v: SolverConfig(k=1, tol=v), "tol must be positive", False),
+    "NoiseModel.sigma": (lambda v: NoiseModel("gaussian", sigma=v),
+                         "sigma must be nonnegative and finite", True),
+    "RankSearchConfig.alpha0": (lambda v: RankSearchConfig(alpha0=v, r_max=2,
+                                                           solver=SolverConfig(k=1)),
+                                "alpha0 must be positive", False),
+    "RateParams.alpha": (lambda v: RateParams(alpha=v, sigma=1.0, R=4.0, d1=2, d2=2, n=4),
+                         "alpha must be positive", False),
+    "RateParams.sigma": (lambda v: RateParams(alpha=1.0, sigma=v, R=4.0, d1=2, d2=2, n=4),
+                         "sigma must be positive", False),
+    "RateParams.R": (lambda v: RateParams(alpha=1.0, sigma=1.0, R=v, d1=2, d2=2, n=4),
+                     "R must be positive", False),
+}
+
+
+@pytest.mark.parametrize("parameter", sorted(_SCALAR_PARAMETERS))
+def test_scalar_parameters_must_be_finite_and_in_range(parameter):
+    make, message, zero_allowed = _SCALAR_PARAMETERS[parameter]
+    bad = [np.nan, np.inf, -np.inf, -1.0] + ([] if zero_allowed else [0.0])
+    for v in bad:
+        with pytest.raises(ValidationError, match=re.escape(f"{message}, got {v}")):
+            make(v)
+    for v in [np.float64(2.0), 2] + ([0] if zero_allowed else []):
+        make(v)
 
 
 def test_factorization_is_immutable():

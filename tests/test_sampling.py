@@ -137,13 +137,13 @@ def test_explicit_distribution_holds_one_array_of_the_grid_size():
     assert peak <= dist.cell_probs.nbytes + (1 << 20)
     assert not dist.cell_probs.flags.writeable
     assert np.array_equal(dist.cell_probs, probs / probs.sum())
-    # An array given directly is copied unless it is read-only already.
+    # The distribution holds its own quotient, never the array it is given,
+    # even a read-only one.
     given = probs / probs.sum()
-    assert SamplingDistribution(d1=d, d2=d, kind="explicit", cell_probs=given).cell_probs \
-        is not given
-    given.flags.writeable = False
-    assert SamplingDistribution(d1=d, d2=d, kind="explicit", cell_probs=given).cell_probs \
-        is given
+    for _ in range(2):
+        held = SamplingDistribution(d1=d, d2=d, kind="explicit", cell_probs=given).cell_probs
+        assert held is not given and not np.shares_memory(held, given)
+        given.flags.writeable = False
 
 
 def test_distribution_fields_follow_the_kind():
@@ -160,20 +160,35 @@ def test_distribution_fields_follow_the_kind():
 
 
 def test_explicit_probabilities_need_a_positive_total():
-    # make_distribution only divides by the total; the other checks are the
-    # distribution's own.
-    for probs in (np.empty((0, 0)), [[-1.0, 0.5], [0.0, 0.0]]):
-        with pytest.raises(ValidationError, match="positive total"):
+    for probs, match in [
+            (np.empty((0, 0)), "does not match"),
+            ([[-1.0, 0.5], [0.0, 0.0]], "must be nonnegative and finite"),
+            ([[1.0, -0.5], [1.0, 1.0]], "must be nonnegative and finite"),
+            ([[np.inf, 1.0], [1.0, 1.0]], "must be nonnegative and finite"),
+            (np.ones((2, 3)), "does not match"),
+            # A total that overflows, of finite entries.
+            (np.full((2, 2), 1e308), "positive, finite total")]:
+        with pytest.raises(ValidationError, match=match):
             make_distribution("explicit", 2, 2, probs=probs)
-    with pytest.raises(ValidationError, match="must be nonnegative"):
-        make_distribution("explicit", 2, 2, probs=[[1.0, -0.5], [1.0, 1.0]])
-    with pytest.raises(ValidationError, match="non-finite"):
-        make_distribution("explicit", 2, 2, probs=[[np.inf, 1.0], [1.0, 1.0]])
-    with pytest.raises(ValidationError, match="does not match"):
-        make_distribution("explicit", 2, 2, probs=np.ones((2, 3)))
-    # A total that overflows divides every entry to 0.
-    with pytest.raises(ValidationError, match="must sum to 1"):
-        make_distribution("explicit", 2, 2, probs=np.full((2, 2), 1e308))
+
+
+def test_explicit_weights_are_normalized_by_the_distribution():
+    w = np.ones((2, 3))
+    dist = SamplingDistribution(d1=2, d2=3, kind="explicit", cell_probs=w)
+    assert np.array_equal(_bits(dist.cell_probs), _bits(np.divide(w, w.sum())))
+    assert dist.mu == dist.L == 1.0
+
+
+def test_fortran_ordered_weights_give_c_ordered_probabilities():
+    # numpy sums a Fortran-ordered array in memory order, which for these
+    # weights totals other bits than C order does.
+    w = np.random.default_rng(4).uniform(0.5, 1.5, (37, 53))
+    expected = make_distribution("explicit", 37, 53, probs=w).cell_probs
+    for make in (lambda p: make_distribution("explicit", 37, 53, probs=p),
+                 lambda p: SamplingDistribution(d1=37, d2=53, kind="explicit", cell_probs=p)):
+        probs = make(np.asfortranarray(w)).cell_probs
+        assert probs.flags.c_contiguous and not probs.flags.writeable
+        assert np.array_equal(_bits(probs), _bits(expected))
 
 
 def test_explicit_zero_cell_rejected_when_positivity_required():
@@ -689,3 +704,9 @@ def test_distribution_parse_errors(tmp_path):
     # Blank and whitespace-only lines are skipped, and each line is stripped.
     back = _load_text(tmp_path, load_distribution, "\n3,4\n product \n\n1,2,3\n \n1,1,2,4\n")
     assert back.row_marginals.tolist() == [1, 2, 3] and back.col_marginals.tolist() == [1, 1, 2, 4]
+
+
+@pytest.mark.parametrize("rows", ["1,1,2\n2,1,1\n1,1,1\n", "1,1,2\n"])  # d1 + 1, d1 - 1 rows
+def test_load_distribution_rejects_an_explicit_file_of_other_than_d1_rows(tmp_path, rows):
+    with pytest.raises(ValidationError, match="does not match"):
+        _load_text(tmp_path, load_distribution, "2,3\nexplicit\n" + rows)
