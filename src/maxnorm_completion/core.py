@@ -97,8 +97,9 @@ class ConstraintSet:
     """Feasible set: elementwise |M| <= alpha and factor row norms^2 <= radius.
 
     `radius` is the bound R on the squared maximum row norms of both factors
-    (equivalently on the factorization norm of the product), so radius >= alpha
-    is required for the set to be nonempty.
+    (equivalently on the factorization norm of the product).  Every positive
+    radius is accepted: the set always holds 0, and at radius < alpha the row
+    bound implies the elementwise one, |u_i . v_j| <= radius.
     """
 
     alpha: float
@@ -109,11 +110,6 @@ class ConstraintSet:
             raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValidationError(f"radius must be positive and finite, got {self.radius}")
-        if self.radius < self.alpha:
-            raise ValidationError(
-                f"radius must be >= alpha (else the feasible set is empty), "
-                f"got radius={self.radius} < alpha={self.alpha}"
-            )
 
 
 def pi_weighted_sq_norm(M, distribution) -> float:

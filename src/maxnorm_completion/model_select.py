@@ -8,9 +8,9 @@ radius alpha0 * sqrt(r) and scores the completion by the Frobenius distance
 between its profile and the initial one.  The r minimizing that distance is
 returned (smallest r on ties).  The candidate fits run on the observed
 cells, or on the whole grid once at least a quarter of the cells are
-observed (see solver._fit_layout).  The solver finds by one comparison
-pass that a PartialMatrix's cells are distinct and in row-major order, and
-takes them with no sort.
+observed (see solver._fit_layout).  A PartialMatrix has n = m, so its
+cells are counted onto the grid exactly when the grid is kept, and sorted
+otherwise.
 Besides the fill's profile, the search holds at most two completions at a
 time: the best so far and the candidate being scored.
 """

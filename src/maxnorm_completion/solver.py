@@ -13,13 +13,15 @@ value and the within-cell sum of squares ss_within, it is
 (sum counts * (prediction - mean)^2 + ss_within) / n.  Draws are taken with
 replacement, so n may reach or pass d1 * d2.  fit_pgd picks one of two
 layouts by the density of the m distinct observed cells, through the
-module constant GRID_CELLS_PER_OBSERVED = 4 (see _fit_layout):
+module constant GRID_CELLS_PER_OBSERVED = 4.  Since m <= n, the same
+constant decides how the draws reach their layout (see _fit_layout): when
+d1 * d2 > 4 n they are sorted to their cells, and otherwise counted onto
+the grid.
 
 - d1 * d2 > 4 m, the cells: the observations collapse onto their m unique
   cells, kept in row-major order with a row's cells contiguous (see
-  _dedupe_observations).  Draws that one comparison pass finds distinct
-  and in row-major order already are those cells, and are not sorted.  A
-  PGD iteration evaluates the loss at each trial point in one pass over
+  _dedupe_observations), sorted there or compacted from the counted grid.
+  A PGD iteration evaluates the loss at each trial point in one pass over
   blocks of at most sampling.DRAW_CHUNK cells that end at row boundaries,
   cut where the cells are found (see _cell_blocks).  Each block gathers
   V's columns at its cells into one k x b buffer that every block reuses;
@@ -32,12 +34,11 @@ module constant GRID_CELLS_PER_OBSERVED = 4 (see _fit_layout):
   k x m and no d1 x d2 array.
 - d1 * d2 <= 4 m, the grid: the draw counts and the cell means (0 where no
   draw fell) are d1 x d2 arrays, and every trial fills two more allocated
-  once per fit, P = U @ V.T - means and G = counts * P.  When d1 * d2 <= n
-  the draws are streamed onto the grid sampling.DRAW_CHUNK at a time (see
-  _grid_arrays), so building it holds no n-length array.  The gradient
-  products are G @ V and G.T @ U.  All three products are einsum calls,
-  which sum in a fixed order, so the bits do not depend on the BLAS thread
-  count.  An iteration takes O(d1 d2 k) time and holds those four d1 x d2
+  once per fit, P = U @ V.T - means and G = counts * P.  The draws are
+  streamed onto the grid sampling.DRAW_CHUNK at a time (see _grid_arrays),
+  so building it holds no n-length array.  The gradient products are
+  G @ V and G.T @ U.  All three products are einsum calls, which sum in a
+  fixed order, so the bits do not depend on the BLAS thread count.  An iteration takes O(d1 d2 k) time and holds those four d1 x d2
   arrays, 32 d1 d2 <= 128 m bytes.
 
 The elementwise max of U @ V.T is taken exactly by scanning the rows of U
@@ -77,7 +78,9 @@ FEASIBILITY_SLACK = 1e-9
 PRODUCT_BLOCK_CELLS = 1 << 18
 
 # fit_pgd runs the grid kernels when d1 * d2 <= GRID_CELLS_PER_OBSERVED * m,
-# for m observed cells, and the cell kernels otherwise.  Timing each layout's
+# for m observed cells, and the cell kernels otherwise.  As m <= n, it also
+# counts the draws onto the grid when d1 * d2 <= GRID_CELLS_PER_OBSERVED * n,
+# and sorts them to their cells otherwise.  Timing each layout's
 # loss and gradient products on one core at d = 400 and 1000, the grid
 # kernels win above an observed-cell density m / (d1 d2) of about 0.25-0.4
 # at k = 3, 0.2-0.3 at k = 7 and 0.15-0.25 at k = 32.
@@ -179,9 +182,9 @@ def _dedupe_observations(obs: ObservationSet) -> _Cells:
     """Unique observed cells with their draw counts and mean values.
 
     With r = prediction - mean at each cell, the empirical loss is exactly
-    (sum counts * r^2 + ss_within) / n.  fit_pgd runs on these cells when
-    d1 * d2 > GRID_CELLS_PER_OBSERVED * m (see _fit_layout);
-    PartialMatrix.from_observations takes them for any n.
+    (sum counts * r^2 + ss_within) / n.  fit_pgd takes these cells when
+    d1 * d2 > GRID_CELLS_PER_OBSERVED * n (see _fit_layout), where they are
+    always sorted; PartialMatrix.from_observations takes them for any n.
 
     Every cell's sum adds its values in draw order, starting from 0.0, and
     ss_within sums the deviations in draw order, whichever way the cells
@@ -197,10 +200,9 @@ def _dedupe_observations(obs: ObservationSet) -> _Cells:
       cell * n + draw, or, where d1 * d2 * n would overflow it, a stable
       sort by (row, column).  A bincount over each draw's cell number then
       sums the values in draw order.  It holds about three n-length arrays.
-      Before the packed sort, one pass compares the flat cells: draws that
-      are already distinct and in row-major order, as a PartialMatrix's
-      are, are their own cells, and _distinct_cells takes them in O(n),
-      with the bits the sort would give.
+
+    Unlike fit_pgd, the dedupe counts only when d1 * d2 <= n: it keeps no
+    grid arrays afterwards, so it gains nothing from building them.
     """
     grid = int(obs.d1) * int(obs.d2)
     # Overflows: the means' are reported here, ss_within's by fit_pgd.
@@ -259,20 +261,8 @@ def _grid_arrays(obs: ObservationSet, grid: int):
     return counts, means, _within_cell_ss(obs.values, means, cells_at)
 
 
-def _distinct_cells(obs: ObservationSet) -> _Cells:
-    """_dedupe_observations' cells of draws that are distinct and in row-major
-    order: each draw is its own cell.
-
-    These are the sort's bits: a count of 1, a mean of value + 0.0 (the
-    bincount's sum from 0.0 turns -0.0 into +0.0) and ss_within = 0.0.
-    """
-    return _cells(obs, obs.indices[:, 0], obs.indices[:, 1].copy(), np.ones(obs.n),
-                  obs.values + 0.0, 0.0)
-
-
 def _sort_cells(obs: ObservationSet, grid: int) -> _Cells:
-    """_dedupe_observations' cells from one sort of the draws, for grid > n,
-    or from _distinct_cells when the flat cells already ascend strictly."""
+    """_dedupe_observations' cells from one sort of the draws, for grid > n."""
     n = obs.n
     rows, cols = obs.indices.T
     new = np.empty(n, dtype=bool)  # new[s]: the draw at sorted position s starts a cell
@@ -280,9 +270,6 @@ def _sort_cells(obs: ObservationSet, grid: int) -> _Cells:
     if grid * n < 2 ** 63:
         key = rows * obs.d2
         key += cols
-        np.greater(key[1:], key[:-1], out=new[1:])
-        if new.all():
-            return _distinct_cells(obs)
         key *= n
         key += np.arange(n)
         key.sort()
@@ -450,41 +437,26 @@ def _fit_layout(obs: ObservationSet):
     d1 * d2 <= GRID_CELLS_PER_OBSERVED * m for m observed cells, else the
     cells (_Cells).
 
-    The draws are counted when d1 * d2 <= n and sorted otherwise, as
-    _dedupe_observations does.  The counted grid arrays go to the grid as
-    they are, or are compacted to the cells; the sorted cells go to the
-    cell kernels as they are, or are scattered onto the grid.  Both give
-    the same bits for every cell mean and for ss_within, so a grid fit's
-    bits do not depend on which built its grid.  Counted, the layout holds
-    no n-length array: the grid's four d1 x d2 arrays and two buffers of
-    DRAW_CHUNK draws.
+    Since m <= n, the grid can only be kept when d1 * d2 <= 4 n.  Past that
+    the draws are sorted to their cells by _dedupe_observations, and those
+    cells are sparse.  Otherwise they are counted onto the grid by
+    _grid_arrays, and the counts are kept as they are or, when fewer than a
+    quarter of the cells are observed, compacted to the cells by
+    _count_cells.  Counting and sorting give every cell mean and ss_within
+    the same bits.  Counted, the layout holds no n-length array: two
+    grid-length arrays, at most 64 n bytes, and two buffers of DRAW_CHUNK
+    draws, then the grid's two buffers P and G if it is kept.
     """
     grid = int(obs.d1) * int(obs.d2)
-    if grid <= obs.n:
-        counts, means, ss_within = _grid_arrays(obs, grid)
-        if grid > GRID_CELLS_PER_OBSERVED * np.count_nonzero(counts):
-            return _count_cells(obs, counts, means, ss_within), _cell_loss, _cell_grad_products
-    else:
-        cells = _dedupe_observations(obs)
-        if grid > GRID_CELLS_PER_OBSERVED * cells.cols.size:
-            return cells, _cell_loss, _cell_grad_products
-        (counts, means), ss_within = _scatter(cells, grid), cells.ss_within
-        del cells
+    if grid > GRID_CELLS_PER_OBSERVED * obs.n:
+        return _dedupe_observations(obs), _cell_loss, _cell_grad_products
+    counts, means, ss_within = _grid_arrays(obs, grid)
+    if grid > GRID_CELLS_PER_OBSERVED * np.count_nonzero(counts):
+        return _count_cells(obs, counts, means, ss_within), _cell_loss, _cell_grad_products
     shape = (obs.d1, obs.d2)
     return (_Grid(counts=counts.reshape(shape), means=means.reshape(shape), ss_within=ss_within,
                   n=obs.n, P=np.empty(shape), G=np.empty(shape)),
             _grid_loss, _grid_grad_products)
-
-
-def _scatter(cells: _Cells, grid: int):
-    """The cells' counts and means as two flat grid-length arrays in row-major
-    order, 0 where no draw fell, as _grid_arrays gives them: O(m + d1 d2)."""
-    flat = np.repeat(cells.row_ids * cells.d2, cells.row_counts)
-    flat += cells.cols
-    counts, means = np.zeros(grid), np.zeros(grid)
-    counts[flat] = cells.counts
-    means[flat] = cells.means
-    return counts, means
 
 
 # The grid kernels call einsum without `optimize`: `@`, np.dot and an
@@ -641,8 +613,10 @@ def fit_pgd(obs: ObservationSet, constraints: ConstraintSet, cfg: SolverConfig) 
     block of V's columns gathered at up to sampling.DRAW_CHUNK cells.
     Otherwise the grid: an iteration takes O(d1 d2 k) time and holds four
     d1 x d2 arrays, at most 128 m bytes.  Beside the draws, a fit holds no
-    n-length array when d1 * d2 <= n: the draws are counted onto the grid
-    through two buffers of sampling.DRAW_CHUNK draws.
+    n-length array when d1 * d2 <= GRID_CELLS_PER_OBSERVED * n: the draws
+    are counted onto the grid through two buffers of sampling.DRAW_CHUNK
+    draws.  Past that they are sorted, which holds about three n-length
+    arrays while the cells are built.
 
     Raises ValidationError when the loss at the start is not finite, as when
     the observed values are so large that their squares overflow.

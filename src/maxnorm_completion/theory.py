@@ -28,12 +28,16 @@ class RateParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValidationError(f"{name} must be positive, got {v}")
+        # The rates assume the truth lies in K(alpha, R), so R >= alpha here,
+        # though a ConstraintSet takes any positive radius.
         if self.R < self.alpha:
             raise ValidationError(f"R must be >= alpha, got R={self.R} < alpha={self.alpha}")
         if self.d1 < 1 or self.d2 < 1 or self.n < 1:
             raise ValidationError("d1, d2, n must be positive integers")
-        if self.mu < 1 or self.L < 1:
-            raise ValidationError(f"mu and L must be >= 1, got mu={self.mu}, L={self.L}")
+        for name in ("mu", "L"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 1):
+                raise ValidationError(f"{name} must be >= 1, got {v}")
 
     @property
     def d(self) -> int:

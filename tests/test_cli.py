@@ -107,10 +107,10 @@ def test_validation_errors_exit_one(tmp_path):
     # missing file
     assert main(["fit", "--obs", str(tmp_path / "missing.txt"), "--alpha", "1",
                  "--radius", "1", "--out", str(tmp_path / "o")]) == 1
-    # invalid constraint pair
+    # invalid constraint: a radius must be positive
     _, obs_path = _simulate(tmp_path, n=30)
     assert main(["fit", "--obs", str(obs_path), "--alpha", "2.0",
-                 "--radius", "1.0", "--out", str(tmp_path / "o")]) == 1
+                 "--radius", "0", "--out", str(tmp_path / "o")]) == 1
     # the stepwise solver and its flags are gone
     assert main(["fit", "--obs", str(obs_path), "--alpha", "1", "--radius", "1",
                  "--solver", "stepwise", "--out", str(tmp_path / "o")]) == 1
@@ -183,3 +183,13 @@ def test_theory_rates_stdout(capsys):
     out = dict(ln.split("=", 1) for ln in capsys.readouterr().out.strip().splitlines())
     assert float(out["upper_rate"]) == pytest.approx(0.3873, abs=5e-5)
     assert out["sample_condition_ok"] == "true"
+
+
+@pytest.mark.parametrize("flag, value", [("--mu", "nan"), ("--L", "inf")])
+def test_theory_rates_rejects_a_non_finite_mu_or_L(capsys, flag, value):
+    code = main(["theory", "rates", "--alpha", "1", "--sigma", "1", "--radius", "2",
+                 "--d1", "50", "--d2", "50", "--n", "2000", flag, value])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag[2:]} must be >= 1, got {value}" in captured.err

@@ -18,6 +18,7 @@ from maxnorm_completion import (
     SamplingDistribution,
     SolverConfig,
     ValidationError,
+    fit_pgd,
     make_distribution,
     pi_weighted_sq_norm,
 )
@@ -160,9 +161,16 @@ def test_factorization_column_mismatch():
 
 
 def test_constraint_set_requires_radius_at_least_alpha():
-    with pytest.raises(ValidationError):
-        ConstraintSet(alpha=2.0, radius=1.0)
-    ConstraintSet(alpha=1.0, radius=1.0)  # boundary is fine
+    # Any positive radius is accepted: below alpha the row bound implies the
+    # elementwise one, and a fit there is feasible on both.
+    constraints = ConstraintSet(alpha=2.0, radius=1.0)
+    ConstraintSet(alpha=1.0, radius=1.0)
+    rng = np.random.default_rng(6)
+    obs = ObservationSet(d1=6, d2=5, indices=np.column_stack([rng.integers(0, 6, 30),
+                                                              rng.integers(0, 5, 30)]),
+                         values=3.0 * rng.normal(size=30))
+    result = fit_pgd(obs, constraints, SolverConfig(k=2, max_iters=20))
+    assert result.feasible_rows and result.feasible_linf
 
 
 # Each scalar parameter: a constructor of the value, the start of its error
@@ -185,6 +193,10 @@ _SCALAR_PARAMETERS = {
                          "sigma must be positive", False),
     "RateParams.R": (lambda v: RateParams(alpha=1.0, sigma=1.0, R=v, d1=2, d2=2, n=4),
                      "R must be positive", False),
+    "RateParams.mu": (lambda v: RateParams(alpha=1.0, sigma=1.0, R=4.0, d1=2, d2=2, n=4, mu=v),
+                      "mu must be >= 1", False),
+    "RateParams.L": (lambda v: RateParams(alpha=1.0, sigma=1.0, R=4.0, d1=2, d2=2, n=4, L=v),
+                     "L must be >= 1", False),
 }
 
 

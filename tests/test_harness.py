@@ -487,10 +487,10 @@ def test_fixed_radius_rule():
         parse_config_text(CONFIG_TEXT.replace(
             "constraints.radius_rule = alpha_sqrt_rank",
             "constraints.radius_rule = 0"))
-    with pytest.raises(ValidationError, match="radius must be >= alpha"):  # truth.alpha = 1.0
-        parse_config_text(CONFIG_TEXT.replace(
-            "constraints.radius_rule = alpha_sqrt_rank",
-            "constraints.radius_rule = 0.5"))
+    cfg = parse_config_text(CONFIG_TEXT.replace(  # below truth.alpha = 1.0
+        "constraints.radius_rule = alpha_sqrt_rank",
+        "constraints.radius_rule = 0.5"))
+    assert cfg.constraints().radius == 0.5
 
 
 def test_parse_config_rejects_a_nonpositive_constraint_alpha():

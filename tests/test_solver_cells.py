@@ -8,7 +8,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from maxnorm_completion import (
     ConstraintSet,
@@ -347,15 +347,13 @@ def test_partial_matrix_cells_equal_sorted_cells_bit_for_bit(P):
     reversed_cells = ObservationSet(d1=P.d1, d2=P.d2, indices=P.indices[::-1],
                                     values=P.values[::-1])
     want = solver._sort_cells(reversed_cells, P.d1 * P.d2)
-    with patch.object(solver, "_distinct_cells", wraps=solver._distinct_cells) as distinct:
-        got = solver._dedupe_observations(P)
+    got = solver._dedupe_observations(P)
     assert all(_same_bits(a, b) for a, b in zip(got, want))
-    assert distinct.call_count == (P.d1 * P.d2 > P.n)
 
 
 def test_sorted_distinct_observations_are_taken_as_their_cells():
     # Not only a PartialMatrix: any draws whose cells ascend strictly in
-    # row-major order are their own cells, with the bits of a sort.
+    # row-major order are their own cells, with the bits of shuffled ones.
     d, m = 400, 50_000
     rng = np.random.default_rng(2)
     flat = np.sort(rng.choice(d * d, m, replace=False))
@@ -363,12 +361,83 @@ def test_sorted_distinct_observations_are_taken_as_their_cells():
                          values=rng.normal(size=m))
     order = rng.permutation(m)
     shuffled = ObservationSet(d1=d, d2=d, indices=obs.indices[order], values=obs.values[order])
-    with patch.object(solver, "_distinct_cells", wraps=solver._distinct_cells) as distinct:
-        got = solver._dedupe_observations(obs)
-        distinct.assert_called_once()
-        want = solver._dedupe_observations(shuffled)
-        distinct.assert_called_once()
+    got = solver._dedupe_observations(obs)
+    want = solver._dedupe_observations(shuffled)
     assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+
+@st.composite
+def _band_draws(draw):
+    """n draws with d1 d2 / 4 <= n < d1 d2 on a grid of up to 8 x 8, from a
+    pool of 1 to d1 d2 cells: fewer than a quarter of the cells observed
+    (sparse) or more (dense)."""
+    d1, d2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    grid = d1 * d2
+    assume(grid >= 2)
+    n = draw(st.integers(-(-grid // 4), grid - 1))
+    pool = draw(st.lists(st.integers(0, grid - 1), min_size=1, max_size=grid, unique=True))
+    flat = np.array([draw(st.sampled_from(pool)) for _ in range(n)])
+    values = draw(st.lists(st.floats(-1e100, 1e100), min_size=n, max_size=n))
+    return ObservationSet(d1=d1, d2=d2, indices=np.column_stack(np.divmod(flat, d2)),
+                          values=np.array(values))
+
+
+def _scatter(cells, grid):
+    """The cells' counts and means as flat grid-length arrays in row-major
+    order, 0 where no draw fell: sorted cells put onto the grid, the
+    reference for a counted grid."""
+    flat = np.repeat(cells.row_ids * cells.d2, cells.row_counts)
+    flat += cells.cols
+    counts, means = np.zeros(grid), np.zeros(grid)
+    counts[flat] = cells.counts
+    means[flat] = cells.means
+    return counts, means
+
+
+_SPARSE_IN_THE_BAND = ObservationSet(  # 4 draws on 4 x 4 from 2 cells; (1, 2) sums to 1 in draw order
+    d1=4, d2=4, indices=np.array([[1, 2], [3, 0], [1, 2], [1, 2]]),
+    values=np.array([1e16, 0.5, 1.0, -1e16]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(obs=_band_draws())
+@example(obs=_ORDER_MATTERS)  # 6 draws on 3 x 3 from 3 cells: the grid is kept
+@example(obs=_SPARSE_IN_THE_BAND)  # the counts are compacted to the cells
+def test_fit_layout_in_the_band_equals_sorted_cells_bit_for_bit(obs):
+    # d1 d2 <= 4 n < 4 d1 d2: the draws are counted, where a dedupe sorts
+    # them.  Chunks of 4 draws: both cross chunk boundaries.
+    grid = obs.d1 * obs.d2
+    assert grid <= 4 * obs.n < 4 * grid
+    with patch.object(sampling, "DRAW_CHUNK", 4):
+        want = solver._sort_cells(obs, grid)
+        with patch.object(solver, "_sort_cells", wraps=solver._sort_cells) as sorted_:
+            draws, _, _ = solver._fit_layout(obs)
+    assert sorted_.call_count == 0
+    if grid <= 4 * want.cols.size:
+        assert isinstance(draws, solver._Grid)
+        counts, means = _scatter(want, grid)
+        assert _same_bits(draws.counts.ravel(), counts)
+        assert _same_bits(draws.means.ravel(), means)
+        assert draws.ss_within.hex() == want.ss_within.hex()
+    else:
+        assert isinstance(draws, solver._Cells)
+        assert all(_same_bits(a, b) for a, b in zip(draws, want))
+
+
+@pytest.mark.parametrize("m", [100, 399])  # d1 d2 / 4 and d1 d2 - 1 on 20 x 20
+def test_fit_on_a_partial_matrix_in_the_band_equals_the_fit_on_its_reversed_cells(m):
+    d = 20
+    rng = np.random.default_rng(m)
+    flat = np.sort(rng.choice(d * d, m, replace=False))
+    P = PartialMatrix(d1=d, d2=d, indices=np.column_stack(np.divmod(flat, d)),
+                      values=rng.normal(size=m))
+    reversed_cells = ObservationSet(d1=d, d2=d, indices=P.indices[::-1], values=P.values[::-1])
+    constraints, cfg = ConstraintSet(alpha=1.0, radius=2.0), SolverConfig(k=3, max_iters=20, seed=1)
+    got, want = fit_pgd(P, constraints, cfg), fit_pgd(reversed_cells, constraints, cfg)
+    assert got.iterations_run > 1
+    assert [x.hex() for x in got.objective_trace] == [x.hex() for x in want.objective_trace]
+    assert _same_bits(got.factorization.U, want.factorization.U)
+    assert _same_bits(got.factorization.V, want.factorization.V)
 
 
 def test_dedupe_on_a_grid_too_large_for_the_packed_key():
@@ -409,6 +478,25 @@ def test_counted_fit_layout_holds_no_draw_length_array():
     # four d1 x d2 arrays and two chunk buffers, 128 kB.
     d1, d2, n = 100, 100, 400_000
     rng = np.random.default_rng(4)
+    obs = ObservationSet(d1=d1, d2=d2, values=rng.normal(size=n),
+                         indices=np.column_stack([rng.integers(0, d1, n), rng.integers(0, d2, n)]))
+    tracemalloc.start()
+    try:
+        draws, _, _ = solver._fit_layout(obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(draws, solver._Grid) and draws.counts.sum() == n
+    assert peak <= 4 * 8 * d1 * d2 + (1 << 20)
+
+
+def test_fit_layout_in_the_band_holds_no_draw_length_array():
+    # n = d1 d2 / 2 draws at random observe about 39 % of the cells: the grid
+    # layout, from draws counted onto it where a dedupe would sort them.  It
+    # holds its four d1 x d2 arrays and two chunk buffers.
+    d1, d2 = 400, 400
+    n = d1 * d2 // 2
+    rng = np.random.default_rng(5)
     obs = ObservationSet(d1=d1, d2=d2, values=rng.normal(size=n),
                          indices=np.column_stack([rng.integers(0, d1, n), rng.integers(0, d2, n)]))
     tracemalloc.start()
@@ -612,19 +700,19 @@ def test_grid_fit_reuses_its_buffers():
     assert _peak_of_rejecting_fit(_cells_once(d), k, "_grid_loss") < 7 * grid_array
 
 
-@pytest.mark.parametrize("n, counted", [(11, False), (12, True), (13, True)])
-def test_fit_pgd_runs_the_grid_kernels_once_n_reaches_the_grid(n, counted):
+@pytest.mark.parametrize("n", [11, 12, 13])
+def test_fit_pgd_runs_the_grid_kernels_once_n_reaches_the_grid(n):
     # n draws at random on a 3 x 4 grid observe at least a quarter of its
-    # cells, so the grid kernels run on either side of n = d1 d2.  Once n
-    # reaches the grid the draws are counted straight onto it; below it they
-    # are sorted to their cells and scattered onto the grid.
+    # cells, so the grid kernels run on either side of n = d1 d2.  A fit that
+    # can run them has d1 d2 <= 4 m <= 4 n, so its draws are counted
+    # straight onto the grid, never sorted.
     rng = np.random.default_rng(n)
     idx = np.column_stack([rng.integers(0, 3, n), rng.integers(0, 4, n)])
     assert 12 <= 4 * np.unique(idx[:, 0] * 4 + idx[:, 1]).size
     obs = ObservationSet(d1=3, d2=4, indices=idx, values=rng.normal(size=n))
     spies = {name: patch.object(solver, name, wraps=getattr(solver, name)) for name in (
         "_cell_loss", "_cell_grad_products", "_grid_loss", "_grid_grad_products",
-        "_count_cells", "_sort_cells", "_scatter")}
+        "_grid_arrays", "_count_cells", "_sort_cells")}
     with ExitStack() as stack:
         calls = {name: stack.enter_context(spy) for name, spy in spies.items()}
         result = fit_pgd(obs, ConstraintSet(alpha=1.0, radius=2.0),
@@ -632,20 +720,21 @@ def test_fit_pgd_runs_the_grid_kernels_once_n_reaches_the_grid(n, counted):
     assert result.iterations_run >= 1
     assert all(calls[name].call_count > 0 for name in ("_grid_loss", "_grid_grad_products"))
     assert all(calls[name].call_count == 0 for name in ("_cell_loss", "_cell_grad_products"))
+    calls["_grid_arrays"].assert_called_once()
     assert calls["_count_cells"].call_count == 0
-    assert calls["_sort_cells"].call_count == (not counted)
-    assert calls["_scatter"].call_count == (not counted)
+    assert calls["_sort_cells"].call_count == 0
 
 
 @pytest.mark.parametrize("n, m, grid", [
-    (3, 3, False),  # distinct cells, sorted: m < d1 d2 / 4
-    (4, 4, True),  # distinct cells, sorted and scattered: m = d1 d2 / 4
+    (3, 3, False),  # distinct cells, sorted: n < d1 d2 / 4
+    (4, 4, True),  # distinct cells, counted: the grid arrays as they are
     (16, 3, False),  # n = d1 d2, counted and compacted to the cells
     (16, 4, True),  # n = d1 d2, counted: the grid arrays as they are
-    (10, 5, True),  # n < d1 d2 with repeats, sorted and scattered
+    (10, 5, True),  # n < d1 d2 with repeats, counted
 ])
 def test_fit_pgd_runs_the_grid_kernels_once_a_quarter_of_the_cells_are_observed(n, m, grid):
-    # On a 4 x 4 grid the grid kernels run exactly when d1 d2 <= 4 m.
+    # On a 4 x 4 grid the grid kernels run exactly when d1 d2 <= 4 m, and the
+    # draws are sorted exactly when d1 d2 > 4 n.
     rng = np.random.default_rng(n + m)
     cells = rng.choice(16, size=m, replace=False)
     flat = rng.permutation(np.concatenate([cells, rng.choice(cells, size=n - m)]))
@@ -653,7 +742,7 @@ def test_fit_pgd_runs_the_grid_kernels_once_a_quarter_of_the_cells_are_observed(
                          values=rng.normal(size=n))
     spies = {name: patch.object(solver, name, wraps=getattr(solver, name)) for name in (
         "_cell_loss", "_cell_grad_products", "_grid_loss", "_grid_grad_products",
-        "_count_cells", "_sort_cells", "_scatter")}
+        "_count_cells", "_sort_cells")}
     with ExitStack() as stack:
         calls = {name: stack.enter_context(spy) for name, spy in spies.items()}
         result = fit_pgd(obs, ConstraintSet(alpha=1.0, radius=2.0),
@@ -664,7 +753,6 @@ def test_fit_pgd_runs_the_grid_kernels_once_a_quarter_of_the_cells_are_observed(
         ran, idle = idle, ran
     assert all(calls[name].call_count > 0 for name in ran)
     assert all(calls[name].call_count == 0 for name in idle)
-    counted = n >= 16
+    counted = 16 <= 4 * n
     assert calls["_sort_cells"].call_count == (not counted)
     assert calls["_count_cells"].call_count == (counted and not grid)  # the compaction
-    assert calls["_scatter"].call_count == (not counted and grid)
